@@ -238,6 +238,8 @@ def _make_system(args):
 
 def _cmd_inherit(args) -> int:
     if args.plan:
+        if args.plant:
+            raise ParameterError("--plant cannot be combined with --plan; pass the plan as flags")
         with open(args.plan, "r", encoding="utf-8") as fh:
             plan = experiments.ExperimentPlan.from_text(fh.read())
         outcome = plan.run(workers=args.workers)
@@ -531,3 +533,7 @@ def run_cli(argv) -> int:
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -3,10 +3,8 @@
 A pair (U, V) is (p, gamma)-bijumbled if every subset pair (U', V') has
 |e(U',V') - p|U'||V'|| <= gamma sqrt(|U'||V'|).  Three certificate routes:
 
-* ``exact_jumble_gamma``   - the optimal gamma, by enumerating subsets of one
-  side only; for a fixed U' the extremal V' of each cardinality is a prefix
-  of the degree-sorted other side, because the discrepancy at fixed |V'| is
-  monotone in the degree sum.
+* ``exact_jumble_gamma``   - the optimal gamma, by the exact subset
+  enumeration of ``bijumble._subsets``.
 * ``spectral_jumble_bound`` - a sound upper bound: the largest singular value
   of the p-centred biadjacency array bounds |1_U'^T (A - pJ) 1_V'| by
   sigma_max sqrt(|U'||V'|) for 0/1 indicator vectors.
@@ -16,7 +14,6 @@ A pair (U, V) is (p, gamma)-bijumbled if every subset pair (U', V') has
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -24,10 +21,10 @@ from typing import Optional
 
 import numpy as np
 
+from ._subsets import DEFAULT_ENUM_CAP, TIE, scan, subset_budget
 from .errors import CapacityError, ConvergenceError, ParameterError
 from .graphs import BipartitePairView, VertexSet, bool_matrix
 
-DEFAULT_ENUM_CAP = 1 << 22  # subsets; the classic "side <= 22" resource limit
 SPECTRAL_TOL = 1e-9
 SPECTRAL_MAX_ITER = 10000
 
@@ -73,17 +70,13 @@ def _discrepancy(e: int, p: float, s: int, t: int) -> float:
     return abs(e - p * s * t) / math.sqrt(s * t)
 
 
-def _subset_budget(n: int, min_size: int) -> int:
-    return sum(math.comb(n, s) for s in range(min_size, n + 1))
-
-
 def exact_jumble_gamma(
     pair: BipartitePairView, p: float, max_subsets: int = DEFAULT_ENUM_CAP
 ) -> JumbleCertificate:
     """Optimal gamma with an attaining witness.
 
-    Enumerates every nonempty subset of the smaller side; the other side is
-    handled by degree-sorted prefix sums.  Ties between witnesses are broken
+    Enumerates every nonempty subset of the smaller side with the shared
+    kernel of ``bijumble._subsets``.  Ties between witnesses are broken
     towards the lexicographically smallest one, so the result is independent
     of enumeration chunking.
     """
@@ -93,82 +86,32 @@ def exact_jumble_gamma(
         raise ParameterError("both sides must be nonempty")
     swap = len(pair.left) > len(pair.right)
     view = pair.swapped() if swap else pair
-    enum_side = view.left.indices
-    other_side = view.right.indices
-    n = len(enum_side)
-    if _subset_budget(n, 1) > max_subsets:
+    n = len(view.left)
+    if subset_budget(n, 1) > max_subsets:
         raise CapacityError(
             f"exact enumeration of a {n}-vertex side exceeds the {max_subsets}-subset capacity"
         )
+    t = np.arange(1, len(view.right) + 1)
 
-    rows = view.graph.rows
-    n_other = len(other_side)
-    best_gamma = -1.0
-    best_key = None
-    best_witness = None
+    def score(sizes, top, bot):
+        pst = (p * sizes)[:, None] * t
+        root = np.sqrt(sizes[:, None] * t)
+        hi, lo = (top - pst) / root, (pst - bot) / root
+        rows = np.arange(len(sizes))
+        t_hi, t_lo = hi.argmax(axis=1), lo.argmax(axis=1)
+        v_hi, v_lo = hi[rows, t_hi], lo[rows, t_lo]
+        hi_first = v_hi >= v_lo  # then bottom too, if it is within TIE of top
+        both = hi_first & (np.abs(v_lo - v_hi) <= TIE)
+        value = np.stack((np.where(hi_first, v_hi, v_lo), np.where(both, v_lo, -np.inf)), axis=1)
+        length = np.stack((np.where(hi_first, t_hi, t_lo), t_lo), axis=1) + 1
+        return value, length, np.stack((hi_first, np.zeros_like(hi_first)), axis=1)
 
-    def consider(disc: float, combo, chosen):
-        nonlocal best_gamma, best_key, best_witness
-        key = (combo, tuple(sorted(chosen)))
-        if disc > best_gamma + 1e-15 or (abs(disc - best_gamma) <= 1e-15 and key < best_key):
-            best_gamma = disc
-            best_key = key
-            wit = (VertexSet.of(combo), VertexSet.of(chosen))
-            best_witness = (wit[1], wit[0]) if swap else wit
-
-    for size in range(1, n + 1):
-        for combo in itertools.combinations(enum_side, size):
-            smask = 0
-            for v in combo:
-                smask |= 1 << v
-            degs = sorted(
-                (((rows[w] & smask).bit_count(), w) for w in other_side),
-                key=lambda dw: (-dw[0], dw[1]),
-            )
-            desc = [d for d, _ in degs]
-            top_sum = 0
-            bot_sum = 0
-            hi_best = lo_best = None  # (disc, t)
-            for t in range(1, n_other + 1):
-                top_sum += desc[t - 1]
-                bot_sum += desc[n_other - t]
-                root = math.sqrt(size * t)
-                hi = (top_sum - p * size * t) / root
-                lo = (p * size * t - bot_sum) / root
-                if hi_best is None or hi > hi_best[0]:
-                    hi_best = (hi, t)
-                if lo_best is None or lo > lo_best[0]:
-                    lo_best = (lo, t)
-            if hi_best[0] >= lo_best[0]:
-                t = hi_best[1]
-                consider(hi_best[0], combo, [w for _, w in degs[:t]])
-                if abs(lo_best[0] - hi_best[0]) <= 1e-15:
-                    t = lo_best[1]
-                    consider(lo_best[0], combo, [w for _, w in degs[n_other - t:]])
-            else:
-                t = lo_best[1]
-                consider(lo_best[0], combo, [w for _, w in degs[n_other - t:]])
-
+    gamma, combo, chosen, _ = scan(view, 1, score)
+    witness = (VertexSet.of(combo), VertexSet.of(chosen))
+    witness = witness[::-1] if swap else witness
     return JumbleCertificate(
-        method="exact", p=p, gamma=max(best_gamma, 0.0), witness=best_witness, sound_upper=True
+        method="exact", p=p, gamma=max(gamma, 0.0), witness=witness, sound_upper=True
     )
-
-
-def naive_jumble_gamma(pair: BipartitePairView, p: float) -> tuple[float, tuple, tuple]:
-    """All-subset-pairs reference; exponential, for cross-checks only."""
-    rows = pair.graph.rows
-    best = (-1.0, (), ())
-    left, right = pair.left.indices, pair.right.indices
-    for su in range(1, len(left) + 1):
-        for cu in itertools.combinations(left, su):
-            umask = sum(1 << v for v in cu)
-            for sv in range(1, len(right) + 1):
-                for cv in itertools.combinations(right, sv):
-                    e = sum((rows[w] & umask).bit_count() for w in cv)
-                    d = _discrepancy(e, p, su, sv)
-                    if d > best[0]:
-                        best = (d, cu, cv)
-    return best
 
 
 def spectral_jumble_bound(

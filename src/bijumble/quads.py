@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ._numeric import geq, within
+from ._subsets import regularity_budget
 from .errors import CapacityError, ParameterError
 from .graphs import BipartitePairView, density
 from .regularity import DEFAULT_ENUM_CAP, exact_regularity, sampled_regularity
@@ -218,10 +219,7 @@ def cs_defect_check(values: Sequence[float], a: float, delta: float, mu: float) 
 def _regularity_refutation(pair, eps, p, trials, seed, max_subsets):
     """(refuted, certified, verdict): a found witness refutes soundly even
     when sampled; only a 'regular' answer needs the exact method to certify."""
-    budget_n = min(len(pair.left), len(pair.right))
-    smin = max(1, math.ceil(eps * budget_n - 1e-12))
-    budget = sum(math.comb(budget_n, s) for s in range(smin, budget_n + 1))
-    if budget <= max_subsets:
+    if regularity_budget(pair, eps) <= max_subsets:
         verdict = exact_regularity(pair, eps, p, max_subsets=max_subsets)
         return (not verdict.regular), True, verdict
     verdict = sampled_regularity(pair, eps, p, trials=trials, seed=seed)
@@ -365,10 +363,7 @@ def c4_regular_bijumbled_audit(
     )
 
     if regularity_method == "auto":
-        smaller = min(nu, nv)
-        smin = max(1, math.ceil(eps * smaller - 1e-12))
-        budget = sum(math.comb(smaller, s) for s in range(smin, smaller + 1))
-        regularity_method = "exact" if budget <= max_subsets else "sampled"
+        regularity_method = "exact" if regularity_budget(pair, eps) <= max_subsets else "sampled"
     from .regularity import check_eps_d_p
 
     verdict = check_eps_d_p(

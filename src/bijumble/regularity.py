@@ -5,30 +5,27 @@ A pair is (eps,p)-regular when every subset pair (U',W') with
 pair's; the (eps,d,p) variant adds the floor d_p(U,W) >= d - eps.  Subset
 size thresholds use ceil(eps * side), matching the ">=" in the definition.
 
-The exact decision enumerates subsets of the smaller side only: at a fixed
-|W'| the extremal W' is a prefix of the other side sorted by degree into U',
-by monotonicity of the edge sum.  No shortcut assuming deviation
-monotonicity in |U'| is taken (it is not monotone).  The sampled decision
-draws seeded uniform subsets plus, per trial, the same degree-sorted prefix
-refinement against the drawn U'; a sampled "regular" verdict only means no
-violation was found, while a sampled witness is a sound refutation.
+The exact decision is the subset enumeration of ``bijumble._subsets``; no
+shortcut assuming deviation monotonicity in |U'| is taken (it is not
+monotone).  The sampled decision draws seeded uniform subsets plus, per
+trial, the degree-sorted prefix refinement against the drawn U'; a sampled
+"regular" verdict only means no violation was found, while a sampled
+witness is a sound refutation.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from ._numeric import leq
+from ._subsets import DEFAULT_ENUM_CAP, min_size, regularity_budget, scan
 from .errors import CapacityError, ParameterError
 from .graphs import BipartitePairView, VertexSet, bool_matrix, p_density
-
-DEFAULT_ENUM_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -68,70 +65,34 @@ def _validate(pair: BipartitePairView, epsilon: float, p: float):
         raise ParameterError("both sides must be nonempty")
 
 
-def _min_size(epsilon: float, n: int) -> int:
-    return max(1, math.ceil(epsilon * n - 1e-12))
-
-
 def exact_regularity(
     pair: BipartitePairView, epsilon: float, p: float, max_subsets: int = DEFAULT_ENUM_CAP
 ) -> RegularityVerdict:
     """Certified verdict with the maximum-deviation witness."""
     _validate(pair, epsilon, p)
     base = p_density(pair, p)
+    budget = regularity_budget(pair, epsilon)
     swap = len(pair.left) > len(pair.right)
     view = pair.swapped() if swap else pair
-    enum_side, other_side = view.left.indices, view.right.indices
-    n, n_other = len(enum_side), len(other_side)
-    smin = _min_size(epsilon, n)
-    tmin = _min_size(epsilon, n_other)
-    budget = sum(math.comb(n, s) for s in range(smin, n + 1))
     if budget > max_subsets:
         raise CapacityError(
-            f"exact regularity would enumerate {budget} subsets of a {n}-vertex side "
+            f"exact regularity would enumerate {budget} subsets of a {len(view.left)}-vertex side "
             f"(capacity {max_subsets})"
         )
+    tmin = min_size(epsilon, len(view.right))
+    t = np.arange(tmin, len(view.right) + 1)
 
-    rows = view.graph.rows
-    worst = -1.0
-    worst_key = None
-    worst_witness = None
+    def score(sizes, top, bot):
+        scale = (p * sizes)[:, None] * t
+        dens = np.stack((top[:, tmin - 1:] / scale, bot[:, tmin - 1:] / scale), axis=2)
+        dev = np.abs(dens - base).reshape(len(sizes), -1)  # top before bottom at each |W'|
+        first = dev.argmax(axis=1)
+        value = dev[np.arange(len(sizes)), first]
+        return value[:, None], (tmin + first // 2)[:, None], (first % 2 == 0)[:, None]
 
-    def consider(dev: float, dens: float, combo, chosen):
-        nonlocal worst, worst_key, worst_witness
-        key = (combo, tuple(sorted(chosen)))
-        if dev > worst + 1e-15 or (abs(dev - worst) <= 1e-15 and (worst_key is None or key < worst_key)):
-            worst = dev
-            worst_key = key
-            uset, wset = VertexSet.of(combo), VertexSet.of(chosen)
-            worst_witness = (wset, uset, dens) if swap else (uset, wset, dens)
-
-    for size in range(smin, n + 1):
-        for combo in itertools.combinations(enum_side, size):
-            smask = 0
-            for v in combo:
-                smask |= 1 << v
-            degs = sorted(
-                (((rows[w] & smask).bit_count(), w) for w in other_side),
-                key=lambda dw: (-dw[0], dw[1]),
-            )
-            desc = [d for d, _ in degs]
-            top_sum = sum(desc[:tmin])
-            bot_sum = sum(desc[n_other - tmin:])
-            best_here = None  # (dev, dens, t, take_top)
-            for t in range(tmin, n_other + 1):
-                if t > tmin:
-                    top_sum += desc[t - 1]
-                    bot_sum += desc[n_other - t]
-                scale = p * size * t
-                d_top = top_sum / scale
-                d_bot = bot_sum / scale
-                for dens, take_top in ((d_top, True), (d_bot, False)):
-                    dev = abs(dens - base)
-                    if best_here is None or dev > best_here[0]:
-                        best_here = (dev, dens, t, take_top)
-            dev, dens, t, take_top = best_here
-            consider(dev, dens, combo, [w for _, w in (degs[:t] if take_top else degs[n_other - t:])])
-
+    worst, combo, chosen, edges = scan(view, min_size(epsilon, len(view.left)), score)
+    dens = edges / (p * len(combo) * len(chosen))
+    uset, wset = VertexSet.of(combo), VertexSet.of(chosen)
     regular = leq(worst, epsilon)
     return RegularityVerdict(
         regular=regular,
@@ -140,26 +101,9 @@ def exact_regularity(
         base_p_density=base,
         deviation=max(worst, 0.0),
         method="exact",
-        worst_witness=worst_witness,
+        worst_witness=(wset, uset, dens) if swap else (uset, wset, dens),
         failure_reason=None if regular else "irregularity witness",
     )
-
-
-def naive_regularity_deviation(pair: BipartitePairView, epsilon: float, p: float) -> float:
-    """All-subset-pairs reference maximum deviation; for cross-checks only."""
-    base = p_density(pair, p)
-    rows = pair.graph.rows
-    left, right = pair.left.indices, pair.right.indices
-    smin, tmin = _min_size(epsilon, len(left)), _min_size(epsilon, len(right))
-    worst = 0.0
-    for s in range(smin, len(left) + 1):
-        for cu in itertools.combinations(left, s):
-            umask = sum(1 << v for v in cu)
-            for t in range(tmin, len(right) + 1):
-                for cv in itertools.combinations(right, t):
-                    e = sum((rows[w] & umask).bit_count() for w in cv)
-                    worst = max(worst, abs(e / (p * s * t) - base))
-    return worst
 
 
 def sampled_regularity(
@@ -174,8 +118,8 @@ def sampled_regularity(
     right_idx = np.array(pair.right.indices, dtype=np.int64)
     sub = bool_matrix(pair.graph)[np.ix_(left_idx, right_idx)]
     n_u, n_w = len(left_idx), len(right_idx)
-    su = _min_size(epsilon, n_u)
-    sw = _min_size(epsilon, n_w)
+    su = min_size(epsilon, n_u)
+    sw = min_size(epsilon, n_w)
     rng = random.Random(seed)
     t_range = np.arange(sw, n_w + 1)
     positions = np.arange(n_w)
@@ -245,30 +189,9 @@ def check_eps_d_p(
         verdict = sampled_regularity(pair, epsilon, p, trials=trials, seed=seed)
     else:
         raise ParameterError(f"unknown method {method!r}")
-    floor_ok = verdict.base_p_density >= d - epsilon - 1e-12
-    if not floor_ok:
-        return RegularityVerdict(
-            regular=False,
-            epsilon=epsilon,
-            p=p,
-            base_p_density=verdict.base_p_density,
-            deviation=verdict.deviation,
-            method=verdict.method,
-            worst_witness=verdict.worst_witness,
-            failure_reason="density floor",
-            d=d,
-        )
-    return RegularityVerdict(
-        regular=verdict.regular,
-        epsilon=epsilon,
-        p=p,
-        base_p_density=verdict.base_p_density,
-        deviation=verdict.deviation,
-        method=verdict.method,
-        worst_witness=verdict.worst_witness,
-        failure_reason=verdict.failure_reason,
-        d=d,
-    )
+    if verdict.base_p_density < d - epsilon - 1e-12:
+        return replace(verdict, regular=False, failure_reason="density floor", d=d)
+    return replace(verdict, d=d)
 
 
 def slice_and_check(
@@ -304,14 +227,9 @@ def slice_and_check(
     )
     density_ok = abs(verdict.base_p_density - base) <= epsilon + 1e-12
     ok = verdict.regular and density_ok
-    return RegularityVerdict(
+    return replace(
+        verdict,
         regular=ok,
-        epsilon=epsilon / gamma,
-        p=p,
-        base_p_density=verdict.base_p_density,
-        deviation=verdict.deviation,
-        method=verdict.method,
-        worst_witness=verdict.worst_witness,
         failure_reason=None if ok else ("irregularity witness" if not verdict.regular else "density drift"),
     )
 

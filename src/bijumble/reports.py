@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -172,15 +173,25 @@ def parse_report(text: str) -> dict:
 def write_report(report: AuditReport, out_dir) -> Path:
     """Write one JSON document and append the run-level index.csv row.
 
-    Filename: <lemma>-<seed>-<counter>.json with counter = number of reports
-    already present, so a rerun of an identical plan reproduces everything
-    but the counter and wall-clock.
+    Filename: <lemma>-<seed>-<counter>.json with counter one past the highest
+    already present for that lemma and seed, so a rerun of an identical plan
+    reproduces everything but the counter and wall-clock.  The file is
+    created exclusively: a writer that loses a race for a counter takes the
+    next one, and no report is ever overwritten.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    counter = sum(1 for _ in out.glob("*.json"))
-    path = out / f"{report.lemma}-{report.seed}-{counter:04d}.json"
-    path.write_text(serialize_report(report), encoding="utf-8")
+    prefix = f"{report.lemma}-{report.seed}-"
+    taken = (re.fullmatch(re.escape(prefix) + r"(\d+)\.json", name) for name in os.listdir(out))
+    counter = max((int(m[1]) + 1 for m in taken if m), default=0)
+    while True:
+        path = out / f"{prefix}{counter:04d}.json"
+        try:
+            with path.open("x", encoding="utf-8") as fh:
+                fh.write(serialize_report(report))
+            break
+        except FileExistsError:
+            counter += 1
     index = out / "index.csv"
     new = not index.exists()
     with index.open("a", newline="", encoding="utf-8") as fh:

@@ -1,0 +1,205 @@
+"""Reference computations that only the tests use.
+
+``exact_jumble_gamma`` and ``exact_regularity`` are the pure-Python
+enumeration loops that the shared numpy kernel in ``bijumble._subsets``
+replaced, kept verbatim: the kernel must match them exactly, values, verdicts
+and witnesses, ties included.  The ``naive_*`` oracles enumerate all subset
+pairs of both sides.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+from bijumble._numeric import leq
+from bijumble._subsets import min_size as _min_size
+from bijumble._subsets import subset_budget as _subset_budget
+from bijumble.errors import CapacityError, ParameterError
+from bijumble.graphs import BipartitePairView, VertexSet, p_density
+from bijumble.jumbled import DEFAULT_ENUM_CAP, JumbleCertificate, _discrepancy
+from bijumble.regularity import RegularityVerdict, _validate
+
+
+def exact_jumble_gamma(
+    pair: BipartitePairView, p: float, max_subsets: int = DEFAULT_ENUM_CAP
+) -> JumbleCertificate:
+    """Optimal gamma with an attaining witness.
+
+    Enumerates every nonempty subset of the smaller side; the other side is
+    handled by degree-sorted prefix sums.  Ties between witnesses are broken
+    towards the lexicographically smallest one, so the result is independent
+    of enumeration chunking.
+    """
+    if p <= 0 or p > 1:
+        raise ParameterError("p must lie in (0,1]")
+    if not pair.left.indices or not pair.right.indices:
+        raise ParameterError("both sides must be nonempty")
+    swap = len(pair.left) > len(pair.right)
+    view = pair.swapped() if swap else pair
+    enum_side = view.left.indices
+    other_side = view.right.indices
+    n = len(enum_side)
+    if _subset_budget(n, 1) > max_subsets:
+        raise CapacityError(
+            f"exact enumeration of a {n}-vertex side exceeds the {max_subsets}-subset capacity"
+        )
+
+    rows = view.graph.rows
+    n_other = len(other_side)
+    best_gamma = -1.0
+    best_key = None
+    best_witness = None
+
+    def consider(disc: float, combo, chosen):
+        nonlocal best_gamma, best_key, best_witness
+        key = (combo, tuple(sorted(chosen)))
+        if disc > best_gamma + 1e-15 or (abs(disc - best_gamma) <= 1e-15 and key < best_key):
+            best_gamma = disc
+            best_key = key
+            wit = (VertexSet.of(combo), VertexSet.of(chosen))
+            best_witness = (wit[1], wit[0]) if swap else wit
+
+    for size in range(1, n + 1):
+        for combo in itertools.combinations(enum_side, size):
+            smask = 0
+            for v in combo:
+                smask |= 1 << v
+            degs = sorted(
+                (((rows[w] & smask).bit_count(), w) for w in other_side),
+                key=lambda dw: (-dw[0], dw[1]),
+            )
+            desc = [d for d, _ in degs]
+            top_sum = 0
+            bot_sum = 0
+            hi_best = lo_best = None  # (disc, t)
+            for t in range(1, n_other + 1):
+                top_sum += desc[t - 1]
+                bot_sum += desc[n_other - t]
+                root = math.sqrt(size * t)
+                hi = (top_sum - p * size * t) / root
+                lo = (p * size * t - bot_sum) / root
+                if hi_best is None or hi > hi_best[0]:
+                    hi_best = (hi, t)
+                if lo_best is None or lo > lo_best[0]:
+                    lo_best = (lo, t)
+            if hi_best[0] >= lo_best[0]:
+                t = hi_best[1]
+                consider(hi_best[0], combo, [w for _, w in degs[:t]])
+                if abs(lo_best[0] - hi_best[0]) <= 1e-15:
+                    t = lo_best[1]
+                    consider(lo_best[0], combo, [w for _, w in degs[n_other - t:]])
+            else:
+                t = lo_best[1]
+                consider(lo_best[0], combo, [w for _, w in degs[n_other - t:]])
+
+    return JumbleCertificate(
+        method="exact", p=p, gamma=max(best_gamma, 0.0), witness=best_witness, sound_upper=True
+    )
+
+
+def exact_regularity(
+    pair: BipartitePairView, epsilon: float, p: float, max_subsets: int = DEFAULT_ENUM_CAP
+) -> RegularityVerdict:
+    """Certified verdict with the maximum-deviation witness."""
+    _validate(pair, epsilon, p)
+    base = p_density(pair, p)
+    swap = len(pair.left) > len(pair.right)
+    view = pair.swapped() if swap else pair
+    enum_side, other_side = view.left.indices, view.right.indices
+    n, n_other = len(enum_side), len(other_side)
+    smin = _min_size(epsilon, n)
+    tmin = _min_size(epsilon, n_other)
+    budget = sum(math.comb(n, s) for s in range(smin, n + 1))
+    if budget > max_subsets:
+        raise CapacityError(
+            f"exact regularity would enumerate {budget} subsets of a {n}-vertex side "
+            f"(capacity {max_subsets})"
+        )
+
+    rows = view.graph.rows
+    worst = -1.0
+    worst_key = None
+    worst_witness = None
+
+    def consider(dev: float, dens: float, combo, chosen):
+        nonlocal worst, worst_key, worst_witness
+        key = (combo, tuple(sorted(chosen)))
+        if dev > worst + 1e-15 or (abs(dev - worst) <= 1e-15 and (worst_key is None or key < worst_key)):
+            worst = dev
+            worst_key = key
+            uset, wset = VertexSet.of(combo), VertexSet.of(chosen)
+            worst_witness = (wset, uset, dens) if swap else (uset, wset, dens)
+
+    for size in range(smin, n + 1):
+        for combo in itertools.combinations(enum_side, size):
+            smask = 0
+            for v in combo:
+                smask |= 1 << v
+            degs = sorted(
+                (((rows[w] & smask).bit_count(), w) for w in other_side),
+                key=lambda dw: (-dw[0], dw[1]),
+            )
+            desc = [d for d, _ in degs]
+            top_sum = sum(desc[:tmin])
+            bot_sum = sum(desc[n_other - tmin:])
+            best_here = None  # (dev, dens, t, take_top)
+            for t in range(tmin, n_other + 1):
+                if t > tmin:
+                    top_sum += desc[t - 1]
+                    bot_sum += desc[n_other - t]
+                scale = p * size * t
+                d_top = top_sum / scale
+                d_bot = bot_sum / scale
+                for dens, take_top in ((d_top, True), (d_bot, False)):
+                    dev = abs(dens - base)
+                    if best_here is None or dev > best_here[0]:
+                        best_here = (dev, dens, t, take_top)
+            dev, dens, t, take_top = best_here
+            consider(dev, dens, combo, [w for _, w in (degs[:t] if take_top else degs[n_other - t:])])
+
+    regular = leq(worst, epsilon)
+    return RegularityVerdict(
+        regular=regular,
+        epsilon=epsilon,
+        p=p,
+        base_p_density=base,
+        deviation=max(worst, 0.0),
+        method="exact",
+        worst_witness=worst_witness,
+        failure_reason=None if regular else "irregularity witness",
+    )
+
+
+def naive_jumble_gamma(pair: BipartitePairView, p: float) -> tuple[float, tuple, tuple]:
+    """All-subset-pairs reference; exponential, for cross-checks only."""
+    rows = pair.graph.rows
+    best = (-1.0, (), ())
+    left, right = pair.left.indices, pair.right.indices
+    for su in range(1, len(left) + 1):
+        for cu in itertools.combinations(left, su):
+            umask = sum(1 << v for v in cu)
+            for sv in range(1, len(right) + 1):
+                for cv in itertools.combinations(right, sv):
+                    e = sum((rows[w] & umask).bit_count() for w in cv)
+                    d = _discrepancy(e, p, su, sv)
+                    if d > best[0]:
+                        best = (d, cu, cv)
+    return best
+
+
+def naive_regularity_deviation(pair: BipartitePairView, epsilon: float, p: float) -> float:
+    """All-subset-pairs reference maximum deviation; for cross-checks only."""
+    base = p_density(pair, p)
+    rows = pair.graph.rows
+    left, right = pair.left.indices, pair.right.indices
+    smin, tmin = _min_size(epsilon, len(left)), _min_size(epsilon, len(right))
+    worst = 0.0
+    for s in range(smin, len(left) + 1):
+        for cu in itertools.combinations(left, s):
+            umask = sum(1 << v for v in cu)
+            for t in range(tmin, len(right) + 1):
+                for cv in itertools.combinations(right, t):
+                    e = sum((rows[w] & umask).bit_count() for w in cv)
+                    worst = max(worst, abs(e / (p * s * t) - base))
+    return worst

@@ -25,8 +25,8 @@ from bijumble.patterns import (
     optimize_order,
     two_sided_exponent,
 )
-from bijumble.jumbled import exact_jumble_gamma, naive_jumble_gamma
-from bijumble.regularity import exact_regularity, naive_regularity_deviation
+from bijumble.jumbled import exact_jumble_gamma
+from bijumble.regularity import exact_regularity
 from bijumble.quads import (
     brute_force_c4,
     c4_dense_irregular_audit,
@@ -55,6 +55,7 @@ from bijumble.experiments import (
 )
 from bijumble.reports import make_report, serialize_report
 from conftest import bipartite_from_mask, random_pair
+from reference import naive_jumble_gamma, naive_regularity_deviation
 
 # pilot-calibrated experiment parameters (see decisions ledger): the
 # statement-scale constants are vacuous at desk scale, so the regime below

@@ -14,12 +14,12 @@ from bijumble.regularity import (
     check_eps_d_p,
     exact_regularity,
     extend_and_check,
-    naive_regularity_deviation,
     sampled_regularity,
     slice_and_check,
 )
 from bijumble.experiments import gen_bipartite
 from conftest import bipartite_from_mask, random_pair
+from reference import naive_regularity_deviation
 
 
 def planted_block_pair():

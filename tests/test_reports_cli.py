@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -81,6 +85,29 @@ def test_write_report_counter_and_index(tmp_path):
     assert rows[0] == "lemma,mode,verdict,measured,bound,seed"
     assert len(rows) == 3
     assert rows[1].startswith("sample_lemma,relaxed,pass,3,4.0,42")
+
+
+def test_write_report_after_deletion_never_overwrites(tmp_path):
+    paths = [write_report(sample_report(), tmp_path) for _ in range(3)]
+    newest = paths[2].read_bytes()
+    paths[0].unlink()
+    again = write_report(sample_report(), tmp_path)
+    assert again.name == "sample_lemma-42-0003.json"
+    assert paths[2].read_bytes() == newest
+    assert len(list(tmp_path.glob("*.json"))) == 3
+
+
+def test_write_report_concurrent_writers_never_collide(tmp_path):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(write_report, sample_report(), tmp_path) for _ in range(40)]
+            paths = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(set(paths)) == 40 and len(list(tmp_path.glob("*.json"))) == 40
+    assert all(json.loads(p.read_text())["seed"] == 42 for p in paths)
 
 
 def test_identical_reports_differ_only_in_counter_and_clock(tmp_path):
@@ -229,6 +256,29 @@ def test_cli_audit_strict_matrix(tmp_path, capsys):
                     "--d", "0.5", "--seed", "4"])
     out = capsys.readouterr().out
     assert code == 0 and "hypotheses-not-met" in out
+
+
+def test_cli_inherit_plan_rejects_plant(tmp_path, capsys):
+    plan = tmp_path / "one.plan"
+    plan.write_text("lemma = one_sided\nnx = 6\nny = 6\nnz = 6\np = 0.4\nd = 0.9\neps_prime = 0.3\nseed = 1\n")
+    code = run_cli(["inherit", "--plan", str(plan), "--plant", "0.6:0.9:12"])
+    err = capsys.readouterr().err
+    assert code == 2 and "--plan" in err and "--plant" in err
+
+
+def test_python_m_cli_runs_the_command():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "bijumble.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    ok = run("optialpha", "--p", "0.25", "--b", "1")
+    assert ok.returncode == 0 and ok.stdout.startswith("sum=")
+    assert run("optialpha", "--no-such-flag").returncode == 2
 
 
 def test_cli_io_error_exit_code(tmp_path, capsys):
