@@ -111,23 +111,6 @@ def count_partite_copies(instance: PartiteInstance) -> int:
     return rec(0, 0)
 
 
-def brute_force_partite_copies(instance: PartiteInstance, cap: int = 10**6) -> int:
-    """Product-enumeration reference; for cross-checks only."""
-    sizes = [len(p) for p in instance.parts]
-    space = math.prod(sizes)
-    if space > cap:
-        raise CapacityError(f"brute force space {space} exceeds {cap}")
-    edges = list(instance.pattern.graph.edges())
-    g = instance.host
-    total = 0
-    for assignment in itertools.product(*[p.indices for p in instance.parts]):
-        if len(set(assignment)) != len(assignment):
-            continue
-        if all(g.has_edge(assignment[u], assignment[v]) for u, v in edges):
-            total += 1
-    return total
-
-
 def predicted_count(instance: PartiteInstance, p: float) -> tuple[float, float]:
     """(density product d(H;G), d(H;G) p^e(H) prod |V_i|)."""
     if p <= 0:

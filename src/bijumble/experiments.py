@@ -21,7 +21,7 @@ import math
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,11 +54,8 @@ class ExperimentPlan:
     eps_prime: float
     seed: int
     eps: float | None = None
-    delta: float | None = None
     method: str = "sampled"
     trials: int = 12
-    repetitions: int = 1
-    relaxed_slack: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if min(self.nx, self.ny, self.nz) < 1:
@@ -78,19 +75,16 @@ class ExperimentPlan:
         "d": float,
         "eps_prime": float,
         "eps": float,
-        "delta": float,
         "seed": int,
         "method": str,
         "trials": int,
-        "repetitions": int,
     }
 
     @classmethod
     def from_text(cls, text: str, **overrides) -> "ExperimentPlan":
         """Parse a flat ``key = value`` plan file (same syntax as the run
-        config); ``relaxed_slack`` entries use keys ``slack.<name>``."""
+        config); an unknown key is an error."""
         values: dict = {}
-        slack: dict = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -99,14 +93,9 @@ class ExperimentPlan:
                 raise ParameterError(f"plan line {lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if key.startswith("slack."):
-                slack[key[len("slack."):]] = float(val)
-            elif key in cls._FIELD_TYPES:
-                values[key] = cls._FIELD_TYPES[key](val)
-            else:
+            if key not in cls._FIELD_TYPES:
                 raise ParameterError(f"plan line {lineno}: unknown key {key!r}")
-        if slack:
-            values["relaxed_slack"] = slack
+            values[key] = cls._FIELD_TYPES[key](val)
         values.update(overrides)
         missing = {"lemma", "nx", "ny", "nz", "p", "d", "eps_prime", "seed"} - values.keys()
         if missing:

@@ -11,6 +11,7 @@ workers.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -74,7 +75,9 @@ class Graph:
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         rows = [0] * vertex_count
+        index = operator.index  # numpy integer endpoints would shift in 64 bits
         for u, v in edges:
+            u, v = index(u), index(v)
             if u == v:
                 raise ParameterError(f"self-loop ({u},{v}) rejected")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):

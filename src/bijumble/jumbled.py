@@ -130,7 +130,9 @@ def spectral_jumble_bound(
         raise ParameterError("both sides must be nonempty")
     left = np.array(pair.left.indices, dtype=np.int64)
     right = np.array(pair.right.indices, dtype=np.int64)
-    m = bool_matrix(pair.graph)[np.ix_(left, right)].astype(np.float64) - p
+    # take keeps the block C-ordered: [:, right] would give an F-ordered one,
+    # whose matrix products round differently in the last bits
+    m = bool_matrix(pair.graph)[left].take(right, axis=1).astype(np.float64) - p
 
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(m.shape[1])

@@ -18,7 +18,6 @@ that honestly as hypotheses-not-met, relaxed mode substitutes caller slack.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -69,17 +68,6 @@ def count_c4(pair: BipartitePairView) -> int:
         for j in range(i + 1, len(left)):
             c = (mi & masked[j]).bit_count()
             total += c * (c - 1) // 2
-    return total
-
-
-def brute_force_c4(pair: BipartitePairView) -> int:
-    """4-tuple enumeration reference; for cross-checks on tiny pairs only."""
-    g = pair.graph
-    total = 0
-    for u, up in itertools.combinations(pair.left.indices, 2):
-        for w, wp in itertools.combinations(pair.right.indices, 2):
-            if g.has_edge(u, w) and g.has_edge(u, wp) and g.has_edge(up, w) and g.has_edge(up, wp):
-                total += 1
     return total
 
 

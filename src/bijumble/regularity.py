@@ -11,6 +11,15 @@ monotone).  The sampled decision draws seeded uniform subsets plus, per
 trial, the degree-sorted prefix refinement against the drawn U'; a sampled
 "regular" verdict only means no violation was found, while a sampled
 witness is a sound refutation.
+
+The sampled trials run together: every (U', W') is drawn first from one
+``random.Random(seed)`` stream, U' then W' per trial, and the pair's 0/1
+block is cut once.  Blocks of trials then take the column degrees into each
+U', the drawn pair's density from them, and the densest and sparsest
+prefixes of W from one value sort with cumulative sums from both ends.
+Candidates are compared in the order of a per-trial loop (drawn pair before
+prefix, densest prefix on ties, the first maximum wins), and only the
+winning trial's witness is built.
 """
 
 from __future__ import annotations
@@ -26,6 +35,8 @@ from ._numeric import leq
 from ._subsets import DEFAULT_ENUM_CAP, min_size, regularity_budget, scan
 from .errors import CapacityError, ParameterError
 from .graphs import BipartitePairView, VertexSet, bool_matrix, p_density
+
+TRIAL_BLOCK_BYTES = 1 << 20  # bound on the U' rows one block of trials gathers
 
 
 @dataclass(frozen=True)
@@ -116,48 +127,57 @@ def sampled_regularity(
     base = p_density(pair, p)
     left_idx = np.array(pair.left.indices, dtype=np.int64)
     right_idx = np.array(pair.right.indices, dtype=np.int64)
-    sub = bool_matrix(pair.graph)[np.ix_(left_idx, right_idx)]
-    n_u, n_w = len(left_idx), len(right_idx)
+    sub = bool_matrix(pair.graph)[left_idx].take(right_idx, axis=1)
+    n_u, n_w = sub.shape
     su = min_size(epsilon, n_u)
     sw = min_size(epsilon, n_w)
     rng = random.Random(seed)
-    t_range = np.arange(sw, n_w + 1)
-    positions = np.arange(n_w)
+    draws = [(rng.sample(range(n_u), su), rng.sample(range(n_w), sw)) for _ in range(trials)]
+    us = np.array([u for u, _ in draws], dtype=np.intp)
+    ws = np.array([w for _, w in draws], dtype=np.intp)
 
-    worst = -1.0
-    worst_witness = None
+    # per trial: the drawn pair's density, then the better of the densest
+    # and the sparsest degree-sorted prefix of W against the drawn U'
+    scale = p * su * np.arange(sw, n_w + 1)
+    rand_dens = np.empty(trials)
+    ref_dev, ref_dens = np.empty(trials), np.empty(trials)
+    ref_t, ref_top = np.empty(trials, dtype=np.int64), np.empty(trials, dtype=bool)
+    acc = np.uint16 if su < 1 << 16 else np.int64  # degrees into U' are at most su
+    block = max(1, TRIAL_BLOCK_BYTES // (su * n_w))
+    for lo in range(0, trials, block):
+        part = slice(lo, lo + block)
+        degs = np.add.reduce(sub[us[part]], axis=1, dtype=acc)
+        edges = np.take_along_axis(degs, ws[part], axis=1).sum(axis=1, dtype=np.int64)
+        rand_dens[part] = edges / (p * su * sw)
+        asc = np.sort(degs, axis=1)
+        dens_bot = np.cumsum(asc, axis=1, dtype=np.int64)[:, sw - 1:] / scale
+        dens_top = np.cumsum(asc[:, ::-1], axis=1, dtype=np.int64)[:, sw - 1:] / scale
+        dev_top, dev_bot = np.abs(dens_top - base), np.abs(dens_bot - base)
+        it, ib = dev_top.argmax(axis=1), dev_bot.argmax(axis=1)
+        at = np.arange(len(it))
+        top = dev_top[at, it] >= dev_bot[at, ib]
+        ref_top[part] = top
+        ref_t[part] = sw + np.where(top, it, ib)
+        ref_dev[part] = np.where(top, dev_top[at, it], dev_bot[at, ib])
+        ref_dens[part] = np.where(top, dens_top[at, it], dens_bot[at, ib])
 
-    def consider(dev: float, dens: float, upos, wpos):
-        nonlocal worst, worst_witness
-        if dev > worst:
-            worst = dev
-            worst_witness = (
-                VertexSet.of(int(v) for v in left_idx[upos]),
-                VertexSet.of(int(v) for v in right_idx[wpos]),
-                dens,
-            )
-
-    for _ in range(trials):
-        upos = sorted(rng.sample(range(n_u), su))
-        wpos = sorted(rng.sample(range(n_w), sw))
-        dens = sub[np.ix_(upos, wpos)].sum(dtype=np.int64) / (p * su * sw)
-        consider(abs(dens - base), dens, upos, wpos)
-
-        degs = sub[upos].sum(axis=0, dtype=np.int64)
-        order_desc = np.lexsort((positions, -degs))
-        order_asc = np.lexsort((positions, degs))
-        dens_top = np.cumsum(degs[order_desc])[t_range - 1] / (p * su * t_range)
-        dens_bot = np.cumsum(degs[order_asc])[t_range - 1] / (p * su * t_range)
-        dev_top = np.abs(dens_top - base)
-        dev_bot = np.abs(dens_bot - base)
-        it = int(np.argmax(dev_top))
-        ib = int(np.argmax(dev_bot))
-        if dev_top[it] >= dev_bot[ib]:
-            t = sw + it
-            consider(float(dev_top[it]), float(dens_top[it]), upos, order_desc[:t])
-        else:
-            t = sw + ib
-            consider(float(dev_bot[ib]), float(dens_bot[ib]), upos, order_asc[:t])
+    # candidates in trial order, drawn pair before prefix; a later one replaces
+    # the current worst only if strictly larger, so the first maximum wins
+    rand_dev = np.abs(rand_dens - base)
+    j, refined = divmod(int(np.column_stack((rand_dev, ref_dev)).argmax()), 2)
+    if refined:
+        worst, dens = float(ref_dev[j]), float(ref_dens[j])
+        degs = sub[us[j]].sum(axis=0, dtype=np.int64)
+        positions = np.arange(n_w)
+        order = np.lexsort((positions, -degs) if ref_top[j] else (positions, degs))
+        wpos = order[: ref_t[j]]
+    else:
+        worst, dens, wpos = rand_dev[j], rand_dens[j], ws[j]
+    worst_witness = (
+        VertexSet.of(int(v) for v in left_idx[us[j]]),
+        VertexSet.of(int(v) for v in right_idx[wpos]),
+        dens,
+    )
 
     regular = leq(worst, epsilon)
     return RegularityVerdict(
@@ -220,11 +240,12 @@ def slice_and_check(
         raise ParameterError("slice sizes below the gamma fraction precondition")
     base = p_density(pair, p)
     slice_pair = BipartitePairView(pair.graph, u_slice, w_slice)
-    verdict = (
-        exact_regularity(slice_pair, epsilon / gamma, p, max_subsets=max_subsets)
-        if method == "exact"
-        else sampled_regularity(slice_pair, epsilon / gamma, p, trials=trials, seed=seed)
-    )
+    if method == "exact":
+        verdict = exact_regularity(slice_pair, epsilon / gamma, p, max_subsets=max_subsets)
+    elif method == "sampled":
+        verdict = sampled_regularity(slice_pair, epsilon / gamma, p, trials=trials, seed=seed)
+    else:
+        raise ParameterError(f"unknown method {method!r}")
     density_ok = abs(verdict.base_p_density - base) <= epsilon + 1e-12
     ok = verdict.regular and density_ok
     return replace(

@@ -2,21 +2,28 @@
 
 ``exact_jumble_gamma`` and ``exact_regularity`` are the pure-Python
 enumeration loops that the shared numpy kernel in ``bijumble._subsets``
-replaced, kept verbatim: the kernel must match them exactly, values, verdicts
-and witnesses, ties included.  The ``naive_*`` oracles enumerate all subset
-pairs of both sides.
+replaced, and ``sampled_regularity`` is the per-trial loop that the batched
+``bijumble.regularity.sampled_regularity`` replaced, all kept verbatim: the
+replacements must match them exactly, values, verdicts and witnesses, ties
+included.  The ``naive_*`` oracles enumerate all subset pairs of both sides,
+``brute_force_c4`` all 4-tuples and ``brute_force_partite_copies`` all
+assignments of pattern vertices to their parts.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
+
+import numpy as np
 
 from bijumble._numeric import leq
-from bijumble._subsets import min_size as _min_size
+from bijumble._subsets import min_size
 from bijumble._subsets import subset_budget as _subset_budget
+from bijumble.embeddings import PartiteInstance
 from bijumble.errors import CapacityError, ParameterError
-from bijumble.graphs import BipartitePairView, VertexSet, p_density
+from bijumble.graphs import BipartitePairView, VertexSet, bool_matrix, p_density
 from bijumble.jumbled import DEFAULT_ENUM_CAP, JumbleCertificate, _discrepancy
 from bijumble.regularity import RegularityVerdict, _validate
 
@@ -108,8 +115,8 @@ def exact_regularity(
     view = pair.swapped() if swap else pair
     enum_side, other_side = view.left.indices, view.right.indices
     n, n_other = len(enum_side), len(other_side)
-    smin = _min_size(epsilon, n)
-    tmin = _min_size(epsilon, n_other)
+    smin = min_size(epsilon, n)
+    tmin = min_size(epsilon, n_other)
     budget = sum(math.comb(n, s) for s in range(smin, n + 1))
     if budget > max_subsets:
         raise CapacityError(
@@ -171,6 +178,72 @@ def exact_regularity(
     )
 
 
+def sampled_regularity(
+    pair: BipartitePairView, epsilon: float, p: float, trials: int, seed: int
+) -> RegularityVerdict:
+    """Randomised violation search; deterministic given the seed."""
+    _validate(pair, epsilon, p)
+    if trials < 1:
+        raise ParameterError("trials must be >= 1")
+    base = p_density(pair, p)
+    left_idx = np.array(pair.left.indices, dtype=np.int64)
+    right_idx = np.array(pair.right.indices, dtype=np.int64)
+    sub = bool_matrix(pair.graph)[np.ix_(left_idx, right_idx)]
+    n_u, n_w = len(left_idx), len(right_idx)
+    su = min_size(epsilon, n_u)
+    sw = min_size(epsilon, n_w)
+    rng = random.Random(seed)
+    t_range = np.arange(sw, n_w + 1)
+    positions = np.arange(n_w)
+
+    worst = -1.0
+    worst_witness = None
+
+    def consider(dev: float, dens: float, upos, wpos):
+        nonlocal worst, worst_witness
+        if dev > worst:
+            worst = dev
+            worst_witness = (
+                VertexSet.of(int(v) for v in left_idx[upos]),
+                VertexSet.of(int(v) for v in right_idx[wpos]),
+                dens,
+            )
+
+    for _ in range(trials):
+        upos = sorted(rng.sample(range(n_u), su))
+        wpos = sorted(rng.sample(range(n_w), sw))
+        dens = sub[np.ix_(upos, wpos)].sum(dtype=np.int64) / (p * su * sw)
+        consider(abs(dens - base), dens, upos, wpos)
+
+        degs = sub[upos].sum(axis=0, dtype=np.int64)
+        order_desc = np.lexsort((positions, -degs))
+        order_asc = np.lexsort((positions, degs))
+        dens_top = np.cumsum(degs[order_desc])[t_range - 1] / (p * su * t_range)
+        dens_bot = np.cumsum(degs[order_asc])[t_range - 1] / (p * su * t_range)
+        dev_top = np.abs(dens_top - base)
+        dev_bot = np.abs(dens_bot - base)
+        it = int(np.argmax(dev_top))
+        ib = int(np.argmax(dev_bot))
+        if dev_top[it] >= dev_bot[ib]:
+            t = sw + it
+            consider(float(dev_top[it]), float(dens_top[it]), upos, order_desc[:t])
+        else:
+            t = sw + ib
+            consider(float(dev_bot[ib]), float(dens_bot[ib]), upos, order_asc[:t])
+
+    regular = leq(worst, epsilon)
+    return RegularityVerdict(
+        regular=regular,
+        epsilon=epsilon,
+        p=p,
+        base_p_density=base,
+        deviation=max(worst, 0.0),
+        method="sampled",
+        worst_witness=worst_witness,
+        failure_reason=None if regular else "irregularity witness",
+    )
+
+
 def naive_jumble_gamma(pair: BipartitePairView, p: float) -> tuple[float, tuple, tuple]:
     """All-subset-pairs reference; exponential, for cross-checks only."""
     rows = pair.graph.rows
@@ -193,7 +266,7 @@ def naive_regularity_deviation(pair: BipartitePairView, epsilon: float, p: float
     base = p_density(pair, p)
     rows = pair.graph.rows
     left, right = pair.left.indices, pair.right.indices
-    smin, tmin = _min_size(epsilon, len(left)), _min_size(epsilon, len(right))
+    smin, tmin = min_size(epsilon, len(left)), min_size(epsilon, len(right))
     worst = 0.0
     for s in range(smin, len(left) + 1):
         for cu in itertools.combinations(left, s):
@@ -203,3 +276,31 @@ def naive_regularity_deviation(pair: BipartitePairView, epsilon: float, p: float
                     e = sum((rows[w] & umask).bit_count() for w in cv)
                     worst = max(worst, abs(e / (p * s * t) - base))
     return worst
+
+
+def brute_force_c4(pair: BipartitePairView) -> int:
+    """4-tuple enumeration reference; for cross-checks on tiny pairs only."""
+    g = pair.graph
+    total = 0
+    for u, up in itertools.combinations(pair.left.indices, 2):
+        for w, wp in itertools.combinations(pair.right.indices, 2):
+            if g.has_edge(u, w) and g.has_edge(u, wp) and g.has_edge(up, w) and g.has_edge(up, wp):
+                total += 1
+    return total
+
+
+def brute_force_partite_copies(instance: PartiteInstance, cap: int = 10**6) -> int:
+    """Product-enumeration reference; for cross-checks only."""
+    sizes = [len(p) for p in instance.parts]
+    space = math.prod(sizes)
+    if space > cap:
+        raise CapacityError(f"brute force space {space} exceeds {cap}")
+    edges = list(instance.pattern.graph.edges())
+    g = instance.host
+    total = 0
+    for assignment in itertools.product(*[p.indices for p in instance.parts]):
+        if len(set(assignment)) != len(assignment):
+            continue
+        if all(g.has_edge(assignment[u], assignment[v]) for u, v in edges):
+            total += 1
+    return total

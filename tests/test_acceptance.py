@@ -28,7 +28,6 @@ from bijumble.patterns import (
 from bijumble.jumbled import exact_jumble_gamma
 from bijumble.regularity import exact_regularity
 from bijumble.quads import (
-    brute_force_c4,
     c4_dense_irregular_audit,
     c4_regular_bijumbled_audit,
     count_c4,
@@ -37,7 +36,6 @@ from bijumble.quads import (
 from bijumble.embeddings import (
     PartiteInstance,
     SuffixInstance,
-    brute_force_partite_copies,
     count_partite_copies,
     counting_window_audit,
     optialpha_check,
@@ -55,7 +53,12 @@ from bijumble.experiments import (
 )
 from bijumble.reports import make_report, serialize_report
 from conftest import bipartite_from_mask, random_pair
-from reference import naive_jumble_gamma, naive_regularity_deviation
+from reference import (
+    brute_force_c4,
+    brute_force_partite_copies,
+    naive_jumble_gamma,
+    naive_regularity_deviation,
+)
 
 # pilot-calibrated experiment parameters (see decisions ledger): the
 # statement-scale constants are vacuous at desk scale, so the regime below

@@ -10,7 +10,6 @@ from bijumble.patterns import Pattern
 from bijumble.embeddings import (
     PartiteInstance,
     SuffixInstance,
-    brute_force_partite_copies,
     count_partite_copies,
     counting_window_audit,
     optialpha_check,
@@ -19,6 +18,7 @@ from bijumble.embeddings import (
     suffix_count,
 )
 from bijumble.experiments import gen_tripartite, sparsify
+from reference import brute_force_partite_copies
 
 K3 = complete_graph(3)
 

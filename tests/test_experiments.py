@@ -43,6 +43,14 @@ def test_plan_validation():
     assert plan.trials == 12
 
 
+def test_plan_rejects_unused_keys():
+    text = "lemma = one_sided\nnx = 5\nny = 5\nnz = 5\np = 0.5\nd = 0.5\neps_prime = 0.3\nseed = 1\n"
+    assert ExperimentPlan.from_text(text) == ExperimentPlan("one_sided", 5, 5, 5, 0.5, 0.5, 0.3, seed=1)
+    for extra in ("repetitions = 5", "delta = 0.2", "slack.c4 = 0.1"):
+        with pytest.raises(ParameterError, match="unknown key"):
+            ExperimentPlan.from_text(text + extra + "\n")
+
+
 def test_gen_tripartite_golden_and_determinism():
     s = gen_tripartite(2, 2, 2, 0.5, seed=1)
     assert sorted(s.host.edges()) == [(0, 4), (0, 5), (1, 2), (1, 5), (2, 5)]

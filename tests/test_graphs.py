@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -73,6 +74,17 @@ def test_graph_invariant_validation():
         Graph(1, (0b1,))  # self-loop
     with pytest.raises(ParameterError):
         Graph.from_edges(2, [(0, 0)])
+
+
+def test_from_edges_numpy_endpoints():
+    mat = np.zeros((100, 100), dtype=bool)
+    mat[0, 70] = mat[3, 99] = mat[5, 6] = True
+    g = Graph.from_edges(100, zip(*np.nonzero(mat)))
+    assert g == Graph.from_edges(100, [(0, 70), (3, 99), (5, 6)])
+    assert g.edge_count() == 3 and all(type(r) is int for r in g.rows)
+    assert Graph.from_edges(100, [(np.int64(0), np.int64(70))]).edge_count() == 1
+    with pytest.raises(TypeError):
+        Graph.from_edges(3, [(0.0, 1.0)])
 
 
 def test_density_examples():

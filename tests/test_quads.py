@@ -6,7 +6,6 @@ import pytest
 from bijumble.errors import ParameterError
 from bijumble.graphs import Graph, complete_bipartite, pair_on, perfect_matching
 from bijumble.quads import (
-    brute_force_c4,
     c4_dense_irregular_audit,
     c4_partition_by_class,
     c4_regular_bijumbled_audit,
@@ -16,6 +15,7 @@ from bijumble.quads import (
 )
 from bijumble.experiments import gen_bipartite, gen_tripartite, plant_irregular_block, sparsify
 from conftest import bipartite_from_mask, random_pair
+from reference import brute_force_c4
 
 
 def test_count_c4_closed_forms():
