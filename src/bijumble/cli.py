@@ -225,9 +225,7 @@ def _cmd_optialpha(args) -> int:
 
 
 def _make_system(args):
-    system = experiments.gen_tripartite(args.nx, args.ny, args.nz, args.p, args.seed)
-    if args.d < 1:
-        system = experiments.sparsify(system, args.d, args.seed + 1)
+    system = experiments.make_system(args.nx, args.ny, args.nz, args.p, args.d, args.seed)
     if args.plant:
         frac, boost, pseed = args.plant.split(":")
         system = experiments.plant_irregular_block(

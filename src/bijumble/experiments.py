@@ -33,10 +33,11 @@ from .graphs import (
     VertexSet,
     bool_matrix,
     iter_bits,
+    pair_block,
     rows_from_bool_matrix,
 )
 from .jumbled import min_size_bound, spectral_jumble_bound
-from .quads import _regularity_refutation
+from .quads import _regularity_refutation, codegrees
 from .regularity import DEFAULT_ENUM_CAP, check_eps_d_p
 from .reports import AuditReport, HypothesisRecord, make_report
 
@@ -103,11 +104,7 @@ class ExperimentPlan:
         return cls(**values)
 
     def run(self, workers: int = 1) -> "InheritanceOutcome":
-        system = sparsify(
-            gen_tripartite(self.nx, self.ny, self.nz, self.p, self.seed),
-            self.d,
-            self.seed + 1,
-        ) if self.d < 1 else gen_tripartite(self.nx, self.ny, self.nz, self.p, self.seed)
+        system = make_system(self.nx, self.ny, self.nz, self.p, self.d, self.seed)
         runner = one_sided_experiment if self.lemma == "one_sided" else two_sided_experiment
         return runner(
             system,
@@ -208,6 +205,13 @@ def gen_tripartite(nx: int, ny: int, nz: int, p: float, seed: int) -> Tripartite
         y=VertexSet.range(nx, nx + ny),
         z=VertexSet.range(nx + ny, n),
     )
+
+
+def make_system(nx: int, ny: int, nz: int, p: float, d: float, seed: int) -> TripartiteSystem:
+    """Host from ``gen_tripartite`` at ``seed``, G its ``sparsify`` at
+    ``seed + 1`` when d < 1 and the host itself otherwise."""
+    system = gen_tripartite(nx, ny, nz, p, seed)
+    return sparsify(system, d, seed + 1) if d < 1 else system
 
 
 def sparsify(system: TripartiteSystem, d: float, seed: int) -> TripartiteSystem:
@@ -449,22 +453,6 @@ def two_sided_experiment(
 
 # -- bad-pair bounds -----------------------------------------------------------
 
-def _bad_pair_masks(system: TripartiteSystem, threshold: float) -> dict[int, int]:
-    """For each y in Y, the bit mask of y' forming a bad pair w.r.t. Z in G."""
-    sub_rows = system.sub.rows
-    zmask = system.z.mask
-    ys = system.y.indices
-    masked = [sub_rows[y] & zmask for y in ys]
-    bad: dict[int, int] = {y: 0 for y in ys}
-    for i in range(len(ys)):
-        mi = masked[i]
-        for j in range(i + 1, len(ys)):
-            if (mi & masked[j]).bit_count() >= threshold:
-                bad[ys[i]] |= 1 << ys[j]
-                bad[ys[j]] |= 1 << ys[i]
-    return bad
-
-
 def bad_pair_bounds_audit(
     system: TripartiteSystem,
     d: float,
@@ -497,7 +485,7 @@ def bad_pair_bounds_audit(
     q = d * p
     threshold = (1 + delta) * q * q * len(zs)
     yz_g = system.pair("Y", "Z")
-
+    is_bad = codegrees(system.sub, ys, zs) >= threshold  # the left pairs of (Y, Z) in G
     host_rows = system.host.rows
 
     if direction == "many":
@@ -540,14 +528,7 @@ def bad_pair_bounds_audit(
                 },
             ),
         ]
-        bad = 0
-        sub_rows = system.sub.rows
-        masked = [sub_rows[y] & zs.mask for y in ys]
-        for i in range(len(ys)):
-            mi = masked[i]
-            for j in range(i + 1, len(ys)):
-                if (mi & masked[j]).bit_count() >= threshold:
-                    bad += 1
+        bad = int(np.count_nonzero(is_bad))
         coeff = eps_star**10 if mode == "strict" or relaxed_coeff is None else relaxed_coeff
         bound = coeff * d**4 * len(ys) ** 2
         ok = bad >= bound - 1e-9
@@ -573,18 +554,14 @@ def bad_pair_bounds_audit(
             started=started,
         )
 
-    # few-direction
-    badmask = _bad_pair_masks(system, threshold)
-    total = 0
-    ymask = ys.mask
-    for u in xs_:
-        nm = host_rows[u] & ymask
-        if not nm:
-            continue
-        acc = 0
-        for y in iter_bits(nm):
-            acc += (badmask[y] & nm).bit_count()
-        total += acc // 2
+    # few-direction: with H the host X x Y block and B the symmetric 0/1
+    # matrix of bad pairs of Y, sum((H @ B) * H) counts each bad pair inside
+    # a neighbourhood N_host(u; Y) twice; float32 is exact, all entries <= |Y|
+    bad_pairs = np.zeros((len(ys), len(ys)), dtype=np.float32)
+    bad_pairs[np.triu_indices(len(ys), 1)] = is_bad
+    bad_pairs += bad_pairs.T
+    h = pair_block(system.pair("X", "Y", "host"))
+    total = int((h.astype(np.float32) @ bad_pairs)[h].sum(dtype=np.float64)) // 2
     bound = delta * p * p * len(xs_) * len(ys) ** 2
 
     cert_xy = spectral_jumble_bound(system.pair("X", "Y", "host"), p, tol=spectral_tol, seed=seed)

@@ -1,11 +1,12 @@
 """Graph substrate: bit-row adjacency, vertex sets, pair views, densities.
 
-Every heavier computation in the toolkit (codegree censuses, subset
-discrepancies, embedding counts) reduces to AND + popcount on per-vertex
-adjacency bit rows, so the representation here is a tuple of Python
-integers used as bit sets over the dense 0-based vertex indices.  Graphs
-and vertex sets are immutable after construction and safe to share across
-workers.
+The representation is a tuple of Python integers used as adjacency bit sets
+over the dense 0-based vertex indices: set algebra on neighbourhoods is
+AND + popcount, which is what the embedding counts and small exact pairs
+use.  The dense kernels (codegrees, sampled regularity, the spectral bound)
+work on numpy 0/1 blocks instead, cut by ``pair_block`` from the cached
+``bool_matrix``.  Graphs and vertex sets are immutable after construction
+and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -233,6 +234,18 @@ class TripartiteSystem:
         return BipartitePairView(g, self.part(a), self.part(b))
 
 
+def pair_block(view: BipartitePairView) -> np.ndarray:
+    """The view's boolean biadjacency block: left rows, right columns.
+
+    Rows are cut first and columns taken second: ``take`` keeps the block
+    C-ordered, where ``[:, right]`` would give an F-ordered one, whose
+    matrix products round differently in the last bits.
+    """
+    left = np.array(view.left.indices, dtype=np.int64)
+    right = np.array(view.right.indices, dtype=np.int64)
+    return bool_matrix(view.graph)[left].take(right, axis=1)
+
+
 # -- densities and codegrees -------------------------------------------------
 
 def density(pair: BipartitePairView) -> Fraction:
@@ -263,7 +276,7 @@ def codegree(u: int, u_prime: int, target: VertexSet, graph: Graph) -> int:
 
 def parse_edge_list(text: str) -> Graph:
     vertex_count = None
-    edges: list[tuple[int, int]] = []
+    rows: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -277,6 +290,7 @@ def parse_edge_list(text: str) -> Graph:
                 raise ParseError(f"bad vertex count {line[2:]!r}", line=lineno) from None
             if vertex_count < 0:
                 raise ParseError("vertex count must be nonnegative", line=lineno)
+            rows = [0] * vertex_count
             continue
         parts = line.split(" ")
         if len(parts) != 2:
@@ -289,10 +303,11 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"self-loop '{u} {v}' rejected", line=lineno)
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise ParseError(f"endpoint out of range in '{u} {v}' (n={vertex_count})", line=lineno)
-        edges.append((u, v))
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
     if vertex_count is None:
         raise ParseError("missing 'n=' header", line=1)
-    return Graph.from_edges(vertex_count, edges)
+    return Graph._trusted(vertex_count, tuple(rows))
 
 
 def format_edge_list(graph: Graph) -> str:

@@ -23,7 +23,8 @@ import numpy as np
 
 from ._subsets import DEFAULT_ENUM_CAP, TIE, scan, subset_budget
 from .errors import CapacityError, ConvergenceError, ParameterError
-from .graphs import BipartitePairView, VertexSet, bool_matrix
+from .graphs import BipartitePairView, VertexSet, pair_block
+from .graphs import bool_matrix  # noqa: F401  perfbench/spans.py wraps it by this name
 
 SPECTRAL_TOL = 1e-9
 SPECTRAL_MAX_ITER = 10000
@@ -128,11 +129,7 @@ def spectral_jumble_bound(
     """
     if not pair.left.indices or not pair.right.indices:
         raise ParameterError("both sides must be nonempty")
-    left = np.array(pair.left.indices, dtype=np.int64)
-    right = np.array(pair.right.indices, dtype=np.int64)
-    # take keeps the block C-ordered: [:, right] would give an F-ordered one,
-    # whose matrix products round differently in the last bits
-    m = bool_matrix(pair.graph)[left].take(right, axis=1).astype(np.float64) - p
+    m = pair_block(pair).astype(np.float64) - p
 
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(m.shape[1])

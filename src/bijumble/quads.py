@@ -1,11 +1,14 @@
 """C4 and codegree statistics of bipartite pair views.
 
 The quadrilateral count of a pair is C4 = sum over left pairs {u,u'} of
-C(codeg(u,u'), 2), computed by bit-row intersection popcounts.  Left pairs
-are classified against codegree thresholds: heavy when
-codeg >= 4 q^2 |V| (atypical even for the pseudorandom host), bad when
-(1+delta) q^2 |V| <= codeg (atypical for the pair), typical otherwise.
-Reporting uses disjoint classes with heavy taking precedence.
+C(codeg(u,u'), 2).  One kernel, ``codegrees``, reads every left pair's
+codegree off the upper triangle of A A^T for the pair's 0/1 block A; the C4
+count, the class censuses below and the bad-pair audits in ``experiments``
+are all derived from it.  Left pairs are classified against codegree
+thresholds: heavy when codeg >= 4 q^2 |V| (atypical even for the
+pseudorandom host), bad when (1+delta) q^2 |V| <= codeg (atypical for the
+pair), typical otherwise.  Reporting uses disjoint classes with heavy
+taking precedence.
 
 The audits compare measured C4 statistics against the lower bound
 (1 - eps^8) q^4 m^2 n^2 / 4 for any dense pair (raised by a factor
@@ -21,12 +24,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from ._numeric import geq, within
 from ._subsets import regularity_budget
 from .errors import CapacityError, ParameterError
-from .graphs import BipartitePairView, density
+from .graphs import BipartitePairView, Graph, VertexSet, density, pair_block
 from .regularity import DEFAULT_ENUM_CAP, exact_regularity, sampled_regularity
 from .reports import AuditReport, HypothesisRecord, make_report
 
@@ -38,7 +43,6 @@ class PairClassCensus:
     typical: int
     bad: int
     heavy: int
-    labels: Optional[tuple[tuple[int, int, str], ...]] = None
 
     @property
     def total_pairs(self) -> int:
@@ -56,61 +60,45 @@ class C4Census:
     degree_hypothesis_ok: bool | None = None
 
 
+def codegrees(graph: Graph, left: VertexSet, right: VertexSet) -> np.ndarray:
+    """Codegrees into ``right`` of the left pairs i < j, in row-major order.
+
+    They are the upper triangle of A A^T for the pair's 0/1 block A.  The
+    product is taken in float32, which is exact while |right| < 2^24: every
+    partial sum is an integer of at most |right|.
+    """
+    block = pair_block(BipartitePairView(graph, left, right)).astype(np.float32)
+    gram = block @ block.T
+    return gram[np.triu_indices(len(left), 1)].astype(np.int64)
+
+
 def count_c4(pair: BipartitePairView) -> int:
-    """Exact number of unlabelled C4 with both left vertices in the left side."""
-    rows = pair.graph.rows
-    rmask = pair.right.mask
-    left = pair.left.indices
-    masked = [rows[u] & rmask for u in left]
-    total = 0
-    for i in range(len(left)):
-        mi = masked[i]
-        for j in range(i + 1, len(left)):
-            c = (mi & masked[j]).bit_count()
-            total += c * (c - 1) // 2
-    return total
+    """Exact number of unlabelled C4 with both left vertices in the left side.
+
+    The int64 sum is exact while |U|^2 |V|^2 / 4 < 2^63, that is for sides
+    below about 78,000 vertices, far past what ``bool_matrix`` can hold.
+    """
+    c = codegrees(pair.graph, pair.left, pair.right)
+    return int((c * (c - 1) // 2).sum())
 
 
-def _class_of(codeg: int, bad_thr: float, heavy_thr: float) -> str:
-    if codeg >= heavy_thr:
-        return "heavy"
-    if codeg >= bad_thr:
-        return "bad"
-    return "typical"
-
-
-def classify_pairs(
-    pair: BipartitePairView, q: float, delta: float, include_labels: bool = False
-) -> PairClassCensus:
-    """Label every left pair by its codegree into the right side."""
+def _pair_classes(pair: BipartitePairView, q: float, delta: float):
+    """Codegrees of the left pairs and their class ids: 2 heavy when
+    codeg >= 4 q^2 |V|, else 1 bad when codeg >= (1+delta) q^2 |V|, else 0 typical."""
     if not 0 < q <= 1:
         raise ParameterError("q must lie in (0,1]")
     if delta <= 0:
         raise ParameterError("delta must be positive")
     nv = len(pair.right)
-    bad_thr = (1 + delta) * q * q * nv
-    heavy_thr = 4 * q * q * nv
-    rows = pair.graph.rows
-    rmask = pair.right.mask
-    left = pair.left.indices
-    masked = [rows[u] & rmask for u in left]
-    counts = {"typical": 0, "bad": 0, "heavy": 0}
-    labels = [] if include_labels else None
-    for i in range(len(left)):
-        mi = masked[i]
-        for j in range(i + 1, len(left)):
-            cls = _class_of((mi & masked[j]).bit_count(), bad_thr, heavy_thr)
-            counts[cls] += 1
-            if labels is not None:
-                labels.append((left[i], left[j], cls))
-    return PairClassCensus(
-        q=q,
-        delta=delta,
-        typical=counts["typical"],
-        bad=counts["bad"],
-        heavy=counts["heavy"],
-        labels=tuple(labels) if labels is not None else None,
-    )
+    c = codegrees(pair.graph, pair.left, pair.right)
+    return c, np.where(c >= 4 * q * q * nv, 2, c >= (1 + delta) * q * q * nv)
+
+
+def classify_pairs(pair: BipartitePairView, q: float, delta: float) -> PairClassCensus:
+    """Label every left pair by its codegree into the right side."""
+    _, classes = _pair_classes(pair, q, delta)
+    typical, bad, heavy = np.bincount(classes, minlength=3).tolist()
+    return PairClassCensus(q=q, delta=delta, typical=typical, bad=bad, heavy=heavy)
 
 
 def c4_partition_by_class(
@@ -126,34 +114,22 @@ def c4_partition_by_class(
     compared against 64 c'^2 p^4 |U|^2 |V|^2 and the degree condition
     deg(u; V) <= 2 p |V| is checked alongside.
     """
-    if not 0 < q <= 1:
-        raise ParameterError("q must lie in (0,1]")
-    if delta <= 0:
-        raise ParameterError("delta must be positive")
+    c, classes = _pair_classes(pair, q, delta)
+    quads = c * (c - 1) // 2
+    typical, bad, heavy = (int(quads[classes == k].sum()) for k in range(3))
     nv = len(pair.right)
-    bad_thr = (1 + delta) * q * q * nv
-    heavy_thr = 4 * q * q * nv
-    rows = pair.graph.rows
-    rmask = pair.right.mask
-    left = pair.left.indices
-    masked = [rows[u] & rmask for u in left]
-    parts = {"typical": 0, "bad": 0, "heavy": 0}
-    for i in range(len(left)):
-        mi = masked[i]
-        for j in range(i + 1, len(left)):
-            c = (mi & masked[j]).bit_count()
-            parts[_class_of(c, bad_thr, heavy_thr)] += c * (c - 1) // 2
-    total = parts["typical"] + parts["bad"] + parts["heavy"]
     heavy_bound = heavy_ok = degree_ok = None
     if p is not None and c_prime is not None:
-        heavy_bound = 64.0 * c_prime**2 * p**4 * len(left) ** 2 * nv**2
-        heavy_ok = parts["heavy"] <= heavy_bound * (1 + 1e-9) + 1e-12
-        degree_ok = all(m.bit_count() <= 2 * p * nv + 1e-9 for m in masked)
+        heavy_bound = 64.0 * c_prime**2 * p**4 * len(pair.left) ** 2 * nv**2
+        heavy_ok = heavy <= heavy_bound * (1 + 1e-9) + 1e-12
+        degree_ok = all(
+            deg <= 2 * p * nv + 1e-9 for deg in pair.degrees_into(pair.right.mask, pair.left)
+        )
     return C4Census(
-        total=total,
-        through_heavy=parts["heavy"],
-        through_bad=parts["bad"],
-        through_typical=parts["typical"],
+        total=typical + bad + heavy,
+        through_heavy=heavy,
+        through_bad=bad,
+        through_typical=typical,
         heavy_bound=heavy_bound,
         heavy_within_bound=heavy_ok,
         degree_hypothesis_ok=degree_ok,

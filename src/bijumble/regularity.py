@@ -34,7 +34,8 @@ import numpy as np
 from ._numeric import leq
 from ._subsets import DEFAULT_ENUM_CAP, min_size, regularity_budget, scan
 from .errors import CapacityError, ParameterError
-from .graphs import BipartitePairView, VertexSet, bool_matrix, p_density
+from .graphs import BipartitePairView, VertexSet, p_density, pair_block
+from .graphs import bool_matrix  # noqa: F401  perfbench/spans.py wraps it by this name
 
 TRIAL_BLOCK_BYTES = 1 << 20  # bound on the U' rows one block of trials gathers
 
@@ -125,9 +126,7 @@ def sampled_regularity(
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     base = p_density(pair, p)
-    left_idx = np.array(pair.left.indices, dtype=np.int64)
-    right_idx = np.array(pair.right.indices, dtype=np.int64)
-    sub = bool_matrix(pair.graph)[left_idx].take(right_idx, axis=1)
+    sub = pair_block(pair)
     n_u, n_w = sub.shape
     su = min_size(epsilon, n_u)
     sw = min_size(epsilon, n_w)
@@ -174,8 +173,8 @@ def sampled_regularity(
     else:
         worst, dens, wpos = rand_dev[j], rand_dens[j], ws[j]
     worst_witness = (
-        VertexSet.of(int(v) for v in left_idx[us[j]]),
-        VertexSet.of(int(v) for v in right_idx[wpos]),
+        VertexSet.of(pair.left.indices[i] for i in us[j]),
+        VertexSet.of(pair.right.indices[i] for i in wpos),
         dens,
     )
 

@@ -8,6 +8,13 @@ replacements must match them exactly, values, verdicts and witnesses, ties
 included.  The ``naive_*`` oracles enumerate all subset pairs of both sides,
 ``brute_force_c4`` all 4-tuples and ``brute_force_partite_copies`` all
 assignments of pattern vertices to their parts.
+
+``count_c4``, ``classify_pairs``, ``c4_partition_by_class``,
+``bad_pair_masks`` and ``bad_pair_totals`` are the bit-row codegree loops
+that the one ``bijumble.quads.codegrees`` kernel replaced, kept verbatim
+(``classify_pairs`` without its removed ``include_labels`` option):
+``bad_pair_totals`` holds the measured-value loops of both directions of
+``bijumble.experiments.bad_pair_bounds_audit``.
 """
 
 from __future__ import annotations
@@ -23,8 +30,16 @@ from bijumble._subsets import min_size
 from bijumble._subsets import subset_budget as _subset_budget
 from bijumble.embeddings import PartiteInstance
 from bijumble.errors import CapacityError, ParameterError
-from bijumble.graphs import BipartitePairView, VertexSet, bool_matrix, p_density
+from bijumble.graphs import (
+    BipartitePairView,
+    TripartiteSystem,
+    VertexSet,
+    bool_matrix,
+    iter_bits,
+    p_density,
+)
 from bijumble.jumbled import DEFAULT_ENUM_CAP, JumbleCertificate, _discrepancy
+from bijumble.quads import C4Census, PairClassCensus
 from bijumble.regularity import RegularityVerdict, _validate
 
 
@@ -304,3 +319,142 @@ def brute_force_partite_copies(instance: PartiteInstance, cap: int = 10**6) -> i
         if all(g.has_edge(assignment[u], assignment[v]) for u, v in edges):
             total += 1
     return total
+
+
+def count_c4(pair: BipartitePairView) -> int:
+    """Exact number of unlabelled C4 with both left vertices in the left side."""
+    rows = pair.graph.rows
+    rmask = pair.right.mask
+    left = pair.left.indices
+    masked = [rows[u] & rmask for u in left]
+    total = 0
+    for i in range(len(left)):
+        mi = masked[i]
+        for j in range(i + 1, len(left)):
+            c = (mi & masked[j]).bit_count()
+            total += c * (c - 1) // 2
+    return total
+
+
+def _class_of(codeg: int, bad_thr: float, heavy_thr: float) -> str:
+    if codeg >= heavy_thr:
+        return "heavy"
+    if codeg >= bad_thr:
+        return "bad"
+    return "typical"
+
+
+def classify_pairs(pair: BipartitePairView, q: float, delta: float) -> PairClassCensus:
+    """Label every left pair by its codegree into the right side."""
+    if not 0 < q <= 1:
+        raise ParameterError("q must lie in (0,1]")
+    if delta <= 0:
+        raise ParameterError("delta must be positive")
+    nv = len(pair.right)
+    bad_thr = (1 + delta) * q * q * nv
+    heavy_thr = 4 * q * q * nv
+    rows = pair.graph.rows
+    rmask = pair.right.mask
+    left = pair.left.indices
+    masked = [rows[u] & rmask for u in left]
+    counts = {"typical": 0, "bad": 0, "heavy": 0}
+    for i in range(len(left)):
+        mi = masked[i]
+        for j in range(i + 1, len(left)):
+            cls = _class_of((mi & masked[j]).bit_count(), bad_thr, heavy_thr)
+            counts[cls] += 1
+    return PairClassCensus(
+        q=q,
+        delta=delta,
+        typical=counts["typical"],
+        bad=counts["bad"],
+        heavy=counts["heavy"],
+    )
+
+
+def c4_partition_by_class(
+    pair: BipartitePairView,
+    q: float,
+    delta: float,
+    p: float | None = None,
+    c_prime: float | None = None,
+) -> C4Census:
+    """C4 totals split by the class of the left pair each copy uses."""
+    if not 0 < q <= 1:
+        raise ParameterError("q must lie in (0,1]")
+    if delta <= 0:
+        raise ParameterError("delta must be positive")
+    nv = len(pair.right)
+    bad_thr = (1 + delta) * q * q * nv
+    heavy_thr = 4 * q * q * nv
+    rows = pair.graph.rows
+    rmask = pair.right.mask
+    left = pair.left.indices
+    masked = [rows[u] & rmask for u in left]
+    parts = {"typical": 0, "bad": 0, "heavy": 0}
+    for i in range(len(left)):
+        mi = masked[i]
+        for j in range(i + 1, len(left)):
+            c = (mi & masked[j]).bit_count()
+            parts[_class_of(c, bad_thr, heavy_thr)] += c * (c - 1) // 2
+    total = parts["typical"] + parts["bad"] + parts["heavy"]
+    heavy_bound = heavy_ok = degree_ok = None
+    if p is not None and c_prime is not None:
+        heavy_bound = 64.0 * c_prime**2 * p**4 * len(left) ** 2 * nv**2
+        heavy_ok = parts["heavy"] <= heavy_bound * (1 + 1e-9) + 1e-12
+        degree_ok = all(m.bit_count() <= 2 * p * nv + 1e-9 for m in masked)
+    return C4Census(
+        total=total,
+        through_heavy=parts["heavy"],
+        through_bad=parts["bad"],
+        through_typical=parts["typical"],
+        heavy_bound=heavy_bound,
+        heavy_within_bound=heavy_ok,
+        degree_hypothesis_ok=degree_ok,
+    )
+
+
+def bad_pair_masks(system: TripartiteSystem, threshold: float) -> dict[int, int]:
+    """For each y in Y, the bit mask of y' forming a bad pair w.r.t. Z in G."""
+    sub_rows = system.sub.rows
+    zmask = system.z.mask
+    ys = system.y.indices
+    masked = [sub_rows[y] & zmask for y in ys]
+    bad: dict[int, int] = {y: 0 for y in ys}
+    for i in range(len(ys)):
+        mi = masked[i]
+        for j in range(i + 1, len(ys)):
+            if (mi & masked[j]).bit_count() >= threshold:
+                bad[ys[i]] |= 1 << ys[j]
+                bad[ys[j]] |= 1 << ys[i]
+    return bad
+
+
+def bad_pair_totals(system: TripartiteSystem, d: float, p: float, delta: float) -> tuple[int, int]:
+    """(many, few): the measured values of the two bad-pair audit directions."""
+    ys, zs, xs_ = system.y, system.z, system.x
+    q = d * p
+    threshold = (1 + delta) * q * q * len(zs)
+    host_rows = system.host.rows
+
+    bad = 0
+    sub_rows = system.sub.rows
+    masked = [sub_rows[y] & zs.mask for y in ys]
+    for i in range(len(ys)):
+        mi = masked[i]
+        for j in range(i + 1, len(ys)):
+            if (mi & masked[j]).bit_count() >= threshold:
+                bad += 1
+
+    badmask = bad_pair_masks(system, threshold)
+    total = 0
+    ymask = ys.mask
+    for u in xs_:
+        nm = host_rows[u] & ymask
+        if not nm:
+            continue
+        acc = 0
+        for y in iter_bits(nm):
+            acc += (badmask[y] & nm).bit_count()
+        total += acc // 2
+    return bad, total

@@ -41,6 +41,11 @@ def test_parse_basic_and_empty():
 def test_parse_comments_and_duplicates_collapse():
     g = parse_edge_list("# a comment\nn=4\n0 1\n1 0\n\n2 3\n")
     assert g.edge_count() == 2
+    pairs = [(0, 5), (5, 0), (2, 3), (0, 5), (3, 2), (4, 1), (6, 0), (1, 4)]
+    text = "n=7\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+    g = parse_edge_list(text)
+    assert g == Graph.from_edges(7, pairs)
+    assert g.edge_count() == 4
 
 
 @pytest.mark.parametrize(
