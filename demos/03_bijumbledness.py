@@ -29,7 +29,7 @@ print(f"exact:    gamma = {exact.gamma:.6f}, witness = "
       f"{list(exact.witness[0].indices)} x {list(exact.witness[1].indices)}")
 
 spectral = spectral_jumble_bound(pair, p)
-print(f"spectral: gamma <= {spectral.gamma:.6f} ({spectral.iterations} iterations)")
+print(f"spectral: gamma <= {spectral.gamma:.6f} (Cholesky attempts: {spectral.iterations})")
 
 found = search_jumble_violation(pair, p, gamma=0.5, trials=50, seed=1)
 print(f"search:   found discrepancy {found.gamma:.6f} above the 0.5 threshold")

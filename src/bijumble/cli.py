@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import embeddings, experiments, jumbled, patterns, quads, regularity
-from .errors import BijumbleError, CapacityError, ConvergenceError, ParameterError, ParseError
+from .errors import BijumbleError, CapacityError, ParameterError, ParseError
 from .graphs import BipartitePairView, VertexSet, load_graph
 from .reports import (
     ENV_OUT_DIR,
@@ -119,7 +119,7 @@ def _cmd_certify(args) -> int:
     if args.method == "exact":
         cert = jumbled.exact_jumble_gamma(pair, args.p)
     elif args.method == "spectral":
-        cert = jumbled.spectral_jumble_bound(pair, args.p, seed=args.seed)
+        cert = jumbled.spectral_jumble_bound(pair, args.p)
     else:
         found = jumbled.search_jumble_violation(pair, args.p, args.gamma, args.trials, args.seed)
         if found is None:
@@ -512,9 +512,6 @@ def run_cli(argv) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
-    except ConvergenceError as exc:
-        print(f"convergence error: {exc}", file=sys.stderr)
-        return 1
     except (ParseError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

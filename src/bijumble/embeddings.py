@@ -234,7 +234,7 @@ def suffix_bound_audit(
         beta = 0.0
         for u, v in pattern.graph.edges():
             pr = BipartitePairView(base.host, base.parts[u], base.parts[v])
-            cert = spectral_jumble_bound(pr, p, seed=seed)
+            cert = spectral_jumble_bound(pr, p)
             beta = max(beta, cert.gamma / math.sqrt(len(base.parts[u]) * len(base.parts[v])))
     dmax = pattern.graph.max_degree()
     dt = d_tilde(pattern)

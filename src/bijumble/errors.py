@@ -25,12 +25,3 @@ class UndefinedDensityError(ParameterError):
 
 class CapacityError(BijumbleError):
     """An exact enumeration would exceed its configured resource limit."""
-
-
-class ConvergenceError(BijumbleError):
-    """Power iteration hit the iteration cap; carries the last iterate."""
-
-    def __init__(self, message, last_estimate, iterations):
-        self.last_estimate = last_estimate
-        self.iterations = iterations
-        super().__init__(message)

@@ -278,10 +278,9 @@ def _chunk_ranges(n: int, workers: int) -> list[range]:
     return [range(i, min(i + step, n)) for i in range(0, n, step)]
 
 
-def _jumble_evidence(system, name_a, name_b, p, exponent, log_factor, seed, spectral_tol):
+def _jumble_evidence(system, name_a, name_b, p, exponent, log_factor):
     a, b = system.part(name_a), system.part(name_b)
-    pairg = BipartitePairView(system.host, a, b)
-    cert = spectral_jumble_bound(pairg, p, tol=spectral_tol, seed=seed)
+    cert = spectral_jumble_bound(system.pair(name_a, name_b, "host"), p)
     scale = p**exponent * math.sqrt(len(a) * len(b))
     if log_factor:
         scale *= math.log2(1.0 / p) ** -0.5
@@ -309,7 +308,6 @@ def _run_inheritance(
     seed: int,
     eps: float | None,
     workers: int,
-    spectral_tol: float,
     max_subsets: int,
 ) -> InheritanceOutcome:
     if method not in ("exact", "sampled"):
@@ -340,13 +338,11 @@ def _run_inheritance(
                 "deviation": yz_verdict.deviation,
             },
         ),
-        _jumble_evidence(system, "X", "Y", p, 1.5 if lemma == "one_sided" else 2.0, False, seed, spectral_tol),
-        _jumble_evidence(
-            system, "Y", "Z", p, 2.0 if lemma == "one_sided" else 2.5, True, seed, spectral_tol
-        ),
+        _jumble_evidence(system, "X", "Y", p, 1.5 if lemma == "one_sided" else 2.0, False),
+        _jumble_evidence(system, "Y", "Z", p, 2.0 if lemma == "one_sided" else 2.5, True),
     ]
     if lemma == "two_sided":
-        evidence.append(_jumble_evidence(system, "X", "Z", p, 3.0, False, seed, spectral_tol))
+        evidence.append(_jumble_evidence(system, "X", "Z", p, 3.0, False))
 
     xs = x_part.indices
     ymask, zmask = y_part.mask, z_part.mask
@@ -423,12 +419,11 @@ def one_sided_experiment(
     seed: int = 0,
     eps: float | None = None,
     workers: int = 1,
-    spectral_tol: float = 1e-6,
     max_subsets: int = DEFAULT_ENUM_CAP,
 ) -> InheritanceOutcome:
     """For every x in X test (N_host(x) in Y, Z) for (eps',d,p)-regularity in G."""
     return _run_inheritance(
-        system, "one_sided", eps_prime, d, p, method, trials, seed, eps, workers, spectral_tol, max_subsets
+        system, "one_sided", eps_prime, d, p, method, trials, seed, eps, workers, max_subsets
     )
 
 
@@ -442,12 +437,11 @@ def two_sided_experiment(
     seed: int = 0,
     eps: float | None = None,
     workers: int = 1,
-    spectral_tol: float = 1e-6,
     max_subsets: int = DEFAULT_ENUM_CAP,
 ) -> InheritanceOutcome:
     """As one-sided, with derived pair (N_host(x) in Y, N_host(x) in Z)."""
     return _run_inheritance(
-        system, "two_sided", eps_prime, d, p, method, trials, seed, eps, workers, spectral_tol, max_subsets
+        system, "two_sided", eps_prime, d, p, method, trials, seed, eps, workers, max_subsets
     )
 
 
@@ -466,7 +460,6 @@ def bad_pair_bounds_audit(
     relaxed_coeff: float | None = None,
     trials: int = 200,
     seed: int = 0,
-    spectral_tol: float = 1e-6,
     max_subsets: int = DEFAULT_ENUM_CAP,
 ) -> AuditReport:
     """Audit the many-bad-pairs lower bound or the few-bad-pairs upper bound.
@@ -498,7 +491,7 @@ def bad_pair_bounds_audit(
         )
         cond_irregular = dens >= (d - eps) * p - 1e-12 and refuted
         cond_dense = dens >= (d + eps_star) * p - 1e-12
-        cert_yz = spectral_jumble_bound(system.pair("Y", "Z", "host"), p, tol=spectral_tol, seed=seed)
+        cert_yz = spectral_jumble_bound(system.pair("Y", "Z", "host"), p)
         c_meas = (
             c_prime
             if c_prime is not None
@@ -564,9 +557,9 @@ def bad_pair_bounds_audit(
     total = int((h.astype(np.float32) @ bad_pairs)[h].sum(dtype=np.float64)) // 2
     bound = delta * p * p * len(xs_) * len(ys) ** 2
 
-    cert_xy = spectral_jumble_bound(system.pair("X", "Y", "host"), p, tol=spectral_tol, seed=seed)
+    cert_xy = spectral_jumble_bound(system.pair("X", "Y", "host"), p)
     c_xy = cert_xy.gamma / (p**1.5 * math.sqrt(len(xs_) * len(ys)))
-    cert_yz = spectral_jumble_bound(system.pair("Y", "Z", "host"), p, tol=spectral_tol, seed=seed)
+    cert_yz = spectral_jumble_bound(system.pair("Y", "Z", "host"), p)
     c_yz = cert_yz.gamma / (p**2 * math.sqrt(len(ys) * len(zs)))
     ydeg_ok = all(
         abs((host_rows[y] & xs_.mask).bit_count() - p * len(xs_)) <= eps * p * len(xs_) + 1e-9

@@ -5,9 +5,9 @@ A pair (U, V) is (p, gamma)-bijumbled if every subset pair (U', V') has
 
 * ``exact_jumble_gamma``   - the optimal gamma, by the exact subset
   enumeration of ``bijumble._subsets``.
-* ``spectral_jumble_bound`` - a sound upper bound: the largest singular value
-  of the p-centred biadjacency array bounds |1_U'^T (A - pJ) 1_V'| by
-  sigma_max sqrt(|U'||V'|) for 0/1 indicator vectors.
+* ``spectral_jumble_bound`` - a proven upper bound on the largest singular
+  value of the p-centred biadjacency array (a shifted Cholesky of its Gram
+  matrix), which bounds |1_U'^T (A - pJ) 1_V'| by sigma_max sqrt(|U'||V'|).
 * ``search_jumble_violation`` - seeded hill climbing that can only ever
   produce witnesses (lower bounds).
 """
@@ -17,17 +17,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from ._subsets import DEFAULT_ENUM_CAP, TIE, scan, subset_budget
-from .errors import CapacityError, ConvergenceError, ParameterError
+from .errors import BijumbleError, CapacityError, ParameterError
 from .graphs import BipartitePairView, VertexSet, pair_block
 from .graphs import bool_matrix  # noqa: F401  perfbench/spans.py wraps it by this name
-
-SPECTRAL_TOL = 1e-9
-SPECTRAL_MAX_ITER = 10000
 
 
 @dataclass(frozen=True)
@@ -44,7 +42,7 @@ class JumbleCertificate:
     gamma: float
     witness: Optional[tuple[VertexSet, VertexSet]]
     sound_upper: bool
-    iterations: int | None = None
+    iterations: int | None = None  # spectral: Cholesky attempts, 1 or 2
     hypothesis: dict = field(default_factory=dict)
 
     def c_prime(self, k: float, left_size: int, right_size: int) -> float:
@@ -115,50 +113,85 @@ def exact_jumble_gamma(
     )
 
 
-def spectral_jumble_bound(
-    pair: BipartitePairView,
-    p: float,
-    tol: float = SPECTRAL_TOL,
-    max_iterations: int = SPECTRAL_MAX_ITER,
-    seed: int = 0,
-) -> JumbleCertificate:
-    """Sound upper bound sigma_max(A - p J) by power iteration.
+def _gram(block: np.ndarray, p: float) -> np.ndarray:
+    """Upper triangle of fl(M~ M~^T), M~ = fl(block - p), over 2 MiB chunks of M~."""
+    m, n = block.shape
+    step = max(1, (1 << 18) // m)
+    g = np.zeros((m, m))
+    for c in range(0, n, step):
+        f = np.subtract(block[:, c : c + step], p)
+        for i in range(0, m, step):
+            g[i : i + step, i:] += f[i : i + step] @ f[i:].T
+    return g
 
-    Deterministic given (seed, tol); raises ConvergenceError carrying the
-    last iterate if the cap is hit.
+
+def _cholesky(b: np.ndarray) -> bool:
+    """Row-wise Cholesky b = R^T R into b's upper triangle; False at a pivot <= 0."""
+    for j in range(len(b)):
+        row = b[j, j:]
+        row -= b[:j, j] @ b[:j, j:]
+        if not row[0] > 0:  # also catches NaN
+            return False
+        row[0] = r = math.sqrt(row[0])
+        row[1:] /= r
+    return True
+
+
+def _up(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
+def spectral_jumble_bound(pair: BipartitePairView, p: float) -> JumbleCertificate:
+    """Proven upper bound on sigma_max(A - pJ), hence on the optimal gamma.
+
+    Proof.  Transpose so that A is m x n, m <= n; M = A - pJ and M~ =
+    fl(A - p) has entries -p and fl(1-p).  Let u = 2^-53, g_k = ku/(1-ku).
+    1. G~, symmetric with the upper triangle of fl(M~M~^T) in any summation
+       order, has |G~ - M~M~^T| <= g_n |M~||M~|^T, so ||M~||_F^2 <=
+       tr(G~)/(1 - g_n) and ||G~ - M~M~^T||_2 <= g_n ||M~||_F^2.
+    2. B~ = sI - G~ is exact but for b~_ii = fl(s - g~_ii), off by <= u b~_ii.
+    3. A completed floating-point Cholesky gives R~^T R~ = B~ + dB, |dB| <=
+       g_{m+1} |R~^T||R~| (Higham, Accuracy and Stability of Numerical
+       Algorithms, Thm 10.3); by traces ||R~||_F^2 <= tr(B~)/(1 - g_{m+1}),
+       so ||dB||_2 <= c tr(B~), c = g_{m+1}/(1 - g_{m+1}), and B~ + c tr(B~) I
+       is positive semidefinite (Rump, BIT 46, 2006).
+    4. Weyl: sigma_max(M~)^2 <= s + c tr(B~) + u max b~_ii + g_n ||M~||_F^2.
+    5. M - M~ = (1 - p - fl(1-p)) A and ||A||_2 <= sqrt(mn).
+    Underflowing products and quotients err by <= 2^-1075 each, far below
+    the 2^-1000 added for any array that fits in memory.  The scalar tail is
+    exact rational arithmetic, each rounding to float nudged upward.  s sits
+    just above ``eigvalsh``'s top eigenvalue of G~ and at least 2^-100, clear
+    of the subnormals; a failed Cholesky widens s once, and a second failure
+    raises BijumbleError.  ``iterations`` counts the attempts.
     """
     if not pair.left.indices or not pair.right.indices:
         raise ParameterError("both sides must be nonempty")
-    m = pair_block(pair).astype(np.float64) - p
-
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(m.shape[1])
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for it in range(1, max_iterations + 1):
-        u = m @ v
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            return JumbleCertificate(
-                method="spectral", p=p, gamma=0.0, witness=None, sound_upper=True, iterations=it
-            )
-        w = m.T @ (u / nu)
-        new_sigma = np.linalg.norm(w)
-        v = w / new_sigma if new_sigma > 0 else w
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-300):
-            return JumbleCertificate(
-                method="spectral",
-                p=p,
-                gamma=float(new_sigma),
-                witness=None,
-                sound_upper=True,
-                iterations=it,
-            )
-        sigma = new_sigma
-    raise ConvergenceError(
-        f"power iteration did not reach tolerance {tol} in {max_iterations} iterations",
-        last_estimate=float(sigma),
-        iterations=max_iterations,
+    block = pair_block(pair if len(pair.left) <= len(pair.right) else pair.swapped())
+    m, n = block.shape
+    g = _gram(block, p)
+    lam = max(float(np.linalg.eigvalsh(g, UPLO="U")[-1]), 0.0)
+    margin = max(lam * m * (m + 1) * 2.0**-53, 2.0**-100)  # about c tr(B~)
+    g_diag = g.diagonal().copy()
+    for attempt in (1, 2):
+        if attempt == 2:  # the failed factorisation overwrote g
+            g, margin = _gram(block, p), margin * 1024
+        s = lam + margin
+        b_diag = s - g_diag
+        np.negative(g, out=g)  # exact
+        np.fill_diagonal(g, b_diag)
+        if _cholesky(g):
+            break
+    else:
+        raise BijumbleError(f"Cholesky of the shifted {m}x{m} Gram matrix failed twice")
+    g_n, g_m1 = Fraction(n, 2**53 - n), Fraction(m + 1, 2**53 - (m + 1))
+    c_trace = g_m1 / (1 - g_m1) * Fraction(_up(math.fsum(b_diag)))
+    frobenius = Fraction(_up(math.fsum(g_diag))) / (1 - g_n)
+    square = Fraction(s) + c_trace + Fraction(b_diag.max()) / 2**53 + g_n * frobenius
+    drift = abs(Fraction(1.0 - p) - (1 - Fraction(p))) * (math.isqrt(m * n) + 1)
+    root = _up(math.sqrt(_up(float(square + Fraction(1, 2**1000)))))
+    gamma = _up(float(Fraction(root) + drift))
+    return JumbleCertificate(
+        method="spectral", p=p, gamma=gamma, witness=None, sound_upper=True, iterations=attempt
     )
 
 

@@ -319,7 +319,7 @@ def c4_regular_bijumbled_audit(
     if c is None:
         from .jumbled import spectral_jumble_bound
 
-        cert = spectral_jumble_bound(pair, p, seed=seed)
+        cert = spectral_jumble_bound(pair, p)
         c = cert.c_prime(2.0, nu, nv)
         c_certified = True  # sound upper bound on the optimal gamma
     hyp_jumble = HypothesisRecord(

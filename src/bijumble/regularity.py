@@ -306,7 +306,7 @@ def extend_and_check(
     if jumble_gamma is None:
         from .jumbled import spectral_jumble_bound
 
-        jumble_gamma = spectral_jumble_bound(extended, p, seed=seed).gamma
+        jumble_gamma = spectral_jumble_bound(extended, p).gamma
     gamma_budget = c * p * math.sqrt(len(base.left) * len(base.right))
     jumble_ok = jumble_gamma <= gamma_budget + 1e-12
     details = {

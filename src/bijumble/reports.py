@@ -214,35 +214,17 @@ class RunConfig:
     """
 
     seed: int
-    float_rel_tol: float = REL_TOL
-    float_abs_tol: float = ABS_TOL
-    spectral_tol: float = 1e-9
-    spectral_max_iter: int = 10000
     workers: int = 1
-    exact_enum_cap: int = 1 << 22
-    optialpha_cap: int = 10**8
     out_dir: str = "reports"
 
     def __post_init__(self):
-        if self.float_rel_tol <= 0 or self.float_abs_tol <= 0 or self.spectral_tol <= 0:
-            raise ParameterError("tolerances must be positive")
         if self.workers < 1:
             raise ParameterError("workers must be >= 1")
         env_dir = os.environ.get(ENV_OUT_DIR)
         if env_dir:
             self.out_dir = env_dir
 
-    _FIELD_TYPES = {
-        "seed": int,
-        "float_rel_tol": float,
-        "float_abs_tol": float,
-        "spectral_tol": float,
-        "spectral_max_iter": int,
-        "workers": int,
-        "exact_enum_cap": int,
-        "optialpha_cap": int,
-        "out_dir": str,
-    }
+    _FIELD_TYPES = {"seed": int, "workers": int, "out_dir": str}
 
     @classmethod
     def from_text(cls, text: str, **overrides) -> "RunConfig":
@@ -257,7 +239,10 @@ class RunConfig:
             key, val = key.strip(), val.strip()
             if key not in cls._FIELD_TYPES:
                 raise ParameterError(f"config line {lineno}: unknown key {key!r}")
-            values[key] = cls._FIELD_TYPES[key](val)
+            try:
+                values[key] = cls._FIELD_TYPES[key](val)
+            except ValueError:
+                raise ParameterError(f"config line {lineno}: {key} = {val!r} is not an integer") from None
         values.update(overrides)
         if "seed" not in values:
             raise ParameterError("config must provide a seed")

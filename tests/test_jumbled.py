@@ -4,11 +4,13 @@ import random
 import numpy as np
 import pytest
 
-from bijumble.errors import CapacityError, ParameterError
+from bijumble import jumbled
+from bijumble.errors import BijumbleError, CapacityError, ParameterError
 from bijumble.graphs import (
     Graph,
     complete_bipartite,
     empty_pair,
+    pair_block,
     pair_on,
     perfect_matching,
 )
@@ -119,6 +121,77 @@ def test_soundness_sandwich(rnd):
             assert found.gamma <= exact + 1e-9
 
 
+def _pair_of(a):
+    m, n = a.shape
+    us, vs = np.nonzero(a)
+    g = Graph.from_edges(m + n, zip(us.tolist(), (vs + m).tolist()))
+    return pair_on(g, range(m), range(m, m + n))
+
+
+def _assert_tight_upper(a, p):
+    sigma = np.linalg.norm(a - p, 2)
+    pr = _pair_of(a)
+    cert = spectral_jumble_bound(pr, p)
+    assert cert.sound_upper and cert.iterations == 1
+    if a.shape[0] != a.shape[1]:  # both orientations take the Gram of the smaller side
+        assert spectral_jumble_bound(pr.swapped(), p).gamma == cert.gamma
+    assert cert.gamma >= sigma, (a.shape, p)
+    assert cert.gamma - sigma <= 1e-9 * sigma + (1e-12 if sigma == 0 else 0.0), (a.shape, p)
+
+
+def test_spectral_bound_is_sound_and_tight():
+    # 1-p is inexact in binary for p = 0.01, 0.1, 0.3 and 1/3
+    ps = (0.01, 0.1, 0.3, 1 / 3, 0.7, 1.0)
+    shapes = ((1, 1), (1, 40), (40, 1), (37, 9), (8, 45), (30, 30))
+    for seed in range(324):
+        rng = np.random.default_rng(seed)
+        p = ps[(seed // 6) % 6]
+        m, n = shapes[seed % 6]  # every fixed shape meets every p, then random shapes
+        if seed >= 36:
+            m, n = (int(x) for x in rng.integers(1, 61, size=2))
+        density = (0.0, 1.0, rng.random())[min(seed % 9, 2)]  # empty, complete, random
+        _assert_tight_upper(rng.random((m, n)) < density, p)
+
+
+def test_spectral_bound_on_a_dense_1000_pair():
+    _assert_tight_upper(np.random.default_rng(1000).random((1000, 1000)) < 0.3, 0.3)
+
+
+def test_cholesky_factors_definite_and_rejects_indefinite():
+    x = np.random.default_rng(5).standard_normal((30, 40))
+    b = x @ x.T
+    r = b.copy()
+    assert jumbled._cholesky(r)
+    assert np.allclose(np.triu(r), np.linalg.cholesky(b).T, rtol=1e-10, atol=1e-12)
+    assert np.array_equal(np.tril(r, -1), np.tril(b, -1))
+    indefinite = b - 2 * np.linalg.eigvalsh(b)[0] * np.eye(30)
+    assert not jumbled._cholesky(indefinite)
+
+
+def test_spectral_retries_once_with_a_wider_shift(monkeypatch, rnd):
+    real, calls = jumbled._cholesky, []
+
+    def first_fails(b):
+        calls.append(len(b))
+        if len(calls) == 1:
+            b[np.triu_indices(len(b))] = np.nan  # as a failed factorisation leaves it
+            return False
+        return real(b)
+
+    monkeypatch.setattr(jumbled, "_cholesky", first_fails)
+    pr = random_pair(rnd, 6, 9, 0.4)
+    cert = spectral_jumble_bound(pr, 0.3)
+    sigma = np.linalg.norm(pair_block(pr) - 0.3, 2)
+    assert cert.iterations == 2 and len(calls) == 2
+    assert sigma <= cert.gamma <= sigma * (1 + 1e-9)
+
+
+def test_spectral_two_failed_choleskys_raise(monkeypatch, rnd):
+    monkeypatch.setattr(jumbled, "_cholesky", lambda b: False)
+    with pytest.raises(BijumbleError):
+        spectral_jumble_bound(random_pair(rnd, 5, 5, 0.5), 0.5)
+
+
 def test_search_examples_and_determinism():
     assert search_jumble_violation(complete_bipartite(4, 4), 1.0, 0.1, trials=20, seed=1) is None
     hit = search_jumble_violation(perfect_matching(3), 1 / 3, 0.5, trials=50, seed=1)
@@ -149,20 +222,10 @@ def test_degree_outlier_census_seeded_with_spectral_c():
     from bijumble.experiments import gen_bipartite
 
     pr = gen_bipartite(200, 200, 0.2, seed=20)
-    cert = spectral_jumble_bound(pr, 0.2, seed=0)
+    cert = spectral_jumble_bound(pr, 0.2)
     c_prime = cert.c_prime(1.0, 200, 200)
     res = degree_outlier_census(pr, 0.2, c_prime, 1.0, 0.25)
     assert res.outliers <= res.bound + 1e-9
-
-
-def test_spectral_non_convergence_carries_last_iterate(rnd):
-    pr = random_pair(rnd, 6, 6, 0.5)
-    from bijumble.errors import ConvergenceError
-
-    with pytest.raises(ConvergenceError) as err:
-        spectral_jumble_bound(pr, 0.37, tol=1e-15, max_iterations=2)
-    assert err.value.iterations == 2
-    assert err.value.last_estimate >= 0
 
 
 def test_degree_outlier_census_respects_certified_bound(rnd):

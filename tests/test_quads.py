@@ -95,7 +95,7 @@ def test_c4_partition_examples_and_heavy_bound():
     pr = gen_bipartite(300, 300, 0.1, seed=4)
     from bijumble.jumbled import spectral_jumble_bound
 
-    cert = spectral_jumble_bound(pr, 0.1, seed=0)
+    cert = spectral_jumble_bound(pr, 0.1)
     c_prime = cert.c_prime(1.0, 300, 300)
     parts = c4_partition_by_class(pr, 0.1, 0.5, p=0.1, c_prime=c_prime)
     assert parts.heavy_within_bound

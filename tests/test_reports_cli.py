@@ -123,12 +123,14 @@ def test_every_report_carries_a_seed(tmp_path):
 
 
 def test_run_config_parsing_and_env(monkeypatch, tmp_path):
-    cfg = RunConfig.from_text("seed = 7\nworkers= 3\nspectral_tol = 1e-8\n")
-    assert cfg.seed == 7 and cfg.workers == 3 and cfg.spectral_tol == 1e-8
+    monkeypatch.delenv("BIJUMBLE_OUT_DIR", raising=False)
+    cfg = RunConfig.from_text("seed = 7\nworkers= 3\nout_dir = runs\n")
+    assert cfg.seed == 7 and cfg.workers == 3 and cfg.out_dir == "runs"
     with pytest.raises(ParameterError):
         RunConfig.from_text("workers = 2\n")  # seed mandatory
-    with pytest.raises(ParameterError):
-        RunConfig.from_text("seed = 1\nnot_a_key = 2\n")
+    for key in ("not_a_key", "spectral_tol"):
+        with pytest.raises(ParameterError):
+            RunConfig.from_text(f"seed = 1\n{key} = 2\n")
     monkeypatch.setenv("BIJUMBLE_OUT_DIR", str(tmp_path / "env_reports"))
     cfg2 = RunConfig.from_text("seed = 1\nout_dir = ignored\n")
     assert cfg2.out_dir == str(tmp_path / "env_reports")
@@ -264,6 +266,15 @@ def test_cli_inherit_plan_rejects_plant(tmp_path, capsys):
     code = run_cli(["inherit", "--plan", str(plan), "--plant", "0.6:0.9:12"])
     err = capsys.readouterr().err
     assert code == 2 and "--plan" in err and "--plant" in err
+
+
+def test_cli_malformed_config_value_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("seed = 1\nworkers = two\n")
+    code = run_cli(["inherit", "--lemma", "one_sided", "--nx", "6", "--ny", "6", "--nz", "6",
+                    "--p", "0.4", "--d", "0.9", "--eps-prime", "0.3", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2 and "config line 2" in err and "'two'" in err
 
 
 def test_python_m_cli_runs_the_command():
