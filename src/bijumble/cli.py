@@ -494,6 +494,8 @@ def _apply_config(args):
             cfg = RunConfig.from_text(fh.read())
     if getattr(args, "seed", "absent") is None:
         args.seed = cfg.seed if cfg else 0
+    if getattr(args, "seed", 0) < 0:
+        raise ParameterError(f"seed {args.seed} must be non-negative")
     if getattr(args, "out", "absent") is None and cfg:
         args.out = cfg.out_dir
     if getattr(args, "workers", "absent") is None:

@@ -10,6 +10,14 @@ desk-scale instance, so experiments run in relaxed mode with declared
 pilot-calibrated parameters, and strict mode exists to document the
 vacuity honestly.
 
+With the sampled method an experiment cuts three 0/1 blocks once: the
+host's X x Y and X x Z and G's Y x Z.  Each x then reads its neighbour
+positions from its host rows, takes those rows of the Y x Z block (and,
+two-sided, those columns), and runs ``sampled_block_regularity`` on the
+result with the density floor of ``check_eps_d_p``; the verdicts equal
+``check_eps_d_p`` on the per-x pair views, which the exact method still
+builds.
+
 Everything is seeded; rerunning a plan with the same seed and any worker
 count reproduces outcomes exactly (per-x work is partitioned over disjoint
 index ranges and merged in vertex order).
@@ -22,6 +30,7 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -38,7 +47,12 @@ from .graphs import (
 )
 from .jumbled import min_size_bound, spectral_jumble_bound
 from .quads import _regularity_refutation, codegrees
-from .regularity import DEFAULT_ENUM_CAP, check_eps_d_p
+from .regularity import (
+    DEFAULT_ENUM_CAP,
+    apply_density_floor,
+    check_eps_d_p,
+    sampled_block_regularity,
+)
 from .reports import AuditReport, HypothesisRecord, make_report
 
 
@@ -66,6 +80,8 @@ class ExperimentPlan:
                 raise ParameterError(f"{name} must lie in (0,1)")
         if self.seed is None:
             raise ParameterError("a seed is mandatory")
+        if self.seed < 0:
+            raise ParameterError(f"seed {self.seed} must be non-negative")
 
     _FIELD_TYPES = {
         "lemma": str,
@@ -313,8 +329,8 @@ def _run_inheritance(
     if method not in ("exact", "sampled"):
         raise ParameterError(f"unknown method {method!r}")
     eps_hyp = eps if eps is not None else eps_prime
+    one_sided = lemma == "one_sided"
     x_part, y_part, z_part = system.x, system.y, system.z
-    sub_rows, host_rows = system.sub.rows, system.host.rows
 
     yz_verdict = check_eps_d_p(
         system.pair("Y", "Z"),
@@ -338,42 +354,50 @@ def _run_inheritance(
                 "deviation": yz_verdict.deviation,
             },
         ),
-        _jumble_evidence(system, "X", "Y", p, 1.5 if lemma == "one_sided" else 2.0, False),
-        _jumble_evidence(system, "Y", "Z", p, 2.0 if lemma == "one_sided" else 2.5, True),
+        _jumble_evidence(system, "X", "Y", p, 1.5 if one_sided else 2.0, False),
+        _jumble_evidence(system, "Y", "Z", p, 2.0 if one_sided else 2.5, True),
     ]
-    if lemma == "two_sided":
+    if not one_sided:
         evidence.append(_jumble_evidence(system, "X", "Z", p, 3.0, False))
 
     xs = x_part.indices
-    ymask, zmask = y_part.mask, z_part.mask
+    y_idx = np.array(y_part.indices, dtype=np.int64)
+    z_idx = np.array(z_part.indices, dtype=np.int64)
+    host_xy = pair_block(system.pair("X", "Y", "host"))
+    host_xz = None if one_sided else pair_block(system.pair("X", "Z", "host"))
+    if method == "sampled":
+        yz = pair_block(system.pair("Y", "Z"))
+        yz_degrees = yz.sum(axis=1, dtype=np.int64)
+
+    def verdict_at(x: int, ypos: np.ndarray, zpos: np.ndarray | None):
+        """The (eps',d,p) verdict of x's derived pair in G."""
+        if method == "exact":
+            right = z_part if one_sided else VertexSet.of(z_idx[zpos].tolist())
+            derived = BipartitePairView(system.sub, VertexSet.of(y_idx[ypos].tolist()), right)
+            return check_eps_d_p(derived, eps_prime, d, p, method="exact", max_subsets=max_subsets)
+        block = yz[ypos]
+        if one_sided:
+            edges, right = int(yz_degrees[ypos].sum()), z_idx
+        else:
+            block = block.take(zpos, axis=1)
+            edges, right = int(np.count_nonzero(block)), z_idx[zpos]
+        base = float(Fraction(edges, block.size)) / p  # as graphs.p_density
+        verdict = sampled_block_regularity(
+            block, base, y_idx[ypos], right, eps_prime, p, trials, _child_seed(seed, x)
+        )
+        return apply_density_floor(verdict, d)
 
     def eval_range(rng_: range) -> list[PerVertexVerdict]:
         out = []
         for i in rng_:
             x = xs[i]
-            ny_mask = host_rows[x] & ymask
-            deg_y = ny_mask.bit_count()
-            if lemma == "one_sided":
-                right = z_part
-                deg_z = None
-            else:
-                nz_mask = host_rows[x] & zmask
-                deg_z = nz_mask.bit_count()
-                right = VertexSet.from_mask(nz_mask)
-            if deg_y == 0 or (lemma == "two_sided" and deg_z == 0):
+            ypos = np.flatnonzero(host_xy[i])
+            zpos = None if one_sided else np.flatnonzero(host_xz[i])
+            deg_y, deg_z = len(ypos), None if one_sided else len(zpos)
+            if deg_y == 0 or deg_z == 0:
                 out.append(PerVertexVerdict(x, False, None, "empty neighborhood", deg_y, deg_z))
                 continue
-            derived = BipartitePairView(system.sub, VertexSet.from_mask(ny_mask), right)
-            verdict = check_eps_d_p(
-                derived,
-                eps_prime,
-                d,
-                p,
-                method=method,
-                trials=trials,
-                seed=_child_seed(seed, x),
-                max_subsets=max_subsets,
-            )
+            verdict = verdict_at(x, ypos, zpos)
             out.append(
                 PerVertexVerdict(
                     x, verdict.regular, verdict.deviation, verdict.failure_reason, deg_y, deg_z

@@ -171,9 +171,6 @@ class VertexSet:
     def __contains__(self, v: int) -> bool:
         return bool(self.mask & (1 << v))
 
-    def intersect_mask(self, mask: int) -> "VertexSet":
-        return VertexSet.from_mask(self.mask & mask)
-
     def issubset(self, other: "VertexSet") -> bool:
         return self.mask & ~other.mask == 0
 

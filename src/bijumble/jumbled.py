@@ -79,7 +79,7 @@ def exact_jumble_gamma(
     towards the lexicographically smallest one, so the result is independent
     of enumeration chunking.
     """
-    if p <= 0 or p > 1:
+    if not 0 < p <= 1:
         raise ParameterError("p must lie in (0,1]")
     if not pair.left.indices or not pair.right.indices:
         raise ParameterError("both sides must be nonempty")
@@ -164,6 +164,8 @@ def spectral_jumble_bound(pair: BipartitePairView, p: float) -> JumbleCertificat
     of the subnormals; a failed Cholesky widens s once, and a second failure
     raises BijumbleError.  ``iterations`` counts the attempts.
     """
+    if not 0 < p <= 1:
+        raise ParameterError("p must lie in (0,1]")
     if not pair.left.indices or not pair.right.indices:
         raise ParameterError("both sides must be nonempty")
     block = pair_block(pair if len(pair.left) <= len(pair.right) else pair.swapped())

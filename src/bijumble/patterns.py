@@ -22,7 +22,6 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Iterable
 
 from .errors import CapacityError, ParameterError
 from .graphs import Graph, VertexSet, iter_bits
@@ -72,10 +71,6 @@ class Pattern:
     @classmethod
     def identity(cls, graph: Graph) -> "Pattern":
         return cls(graph, tuple(range(graph.vertex_count)))
-
-    @classmethod
-    def with_order(cls, graph: Graph, sequence: Iterable[int]) -> "Pattern":
-        return cls(graph, tuple(sequence))
 
     def position(self, v: int) -> int:
         return self.sequence.index(v) + 1

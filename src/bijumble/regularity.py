@@ -12,26 +12,27 @@ trial, the degree-sorted prefix refinement against the drawn U'; a sampled
 "regular" verdict only means no violation was found, while a sampled
 witness is a sound refutation.
 
-The sampled trials run together: every (U', W') is drawn first from one
-``random.Random(seed)`` stream, U' then W' per trial, and the pair's 0/1
-block is cut once.  Blocks of trials then take the column degrees into each
-U', the drawn pair's density from them, and the densest and sparsest
-prefixes of W from one value sort with cumulative sums from both ends.
-Candidates are compared in the order of a per-trial loop (drawn pair before
-prefix, densest prefix on ties, the first maximum wins), and only the
-winning trial's witness is built.
+The sampled trials run together: ``draw_subsets`` draws every U', then
+every W', from one ``numpy.random.default_rng(seed)`` stream, and the
+pair's 0/1 block is cut once.  Blocks of trials then take the column
+degrees into each U', the drawn pair's density from them, and the densest
+and sparsest prefixes of W from one value sort with cumulative sums from
+both ends.  Candidates are compared in the order of a per-trial loop
+(drawn pair before prefix, densest prefix on ties, the first maximum wins),
+and only the winning trial's witness is built.  ``sampled_block_regularity``
+is that search on a block its caller has already cut, and
+``sampled_regularity`` cuts the block of a pair view and calls it.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from ._numeric import leq
+from ._numeric import ABS_TOL, leq
 from ._subsets import DEFAULT_ENUM_CAP, min_size, regularity_budget, scan
 from .errors import CapacityError, ParameterError
 from .graphs import BipartitePairView, VertexSet, p_density, pair_block
@@ -69,11 +70,15 @@ class RegularityVerdict:
 
 
 def _validate(pair: BipartitePairView, epsilon: float, p: float):
+    _validate_shape((len(pair.left), len(pair.right)), epsilon, p)
+
+
+def _validate_shape(shape: tuple[int, int], epsilon: float, p: float):
     if not 0 < epsilon < 1:
         raise ParameterError("epsilon must lie in (0,1)")
     if p <= 0:
         raise ParameterError("p must be positive")
-    if not pair.left.indices or not pair.right.indices:
+    if 0 in shape:
         raise ParameterError("both sides must be nonempty")
 
 
@@ -118,22 +123,37 @@ def exact_regularity(
     )
 
 
-def sampled_regularity(
-    pair: BipartitePairView, epsilon: float, p: float, trials: int, seed: int
+def draw_subsets(
+    n_u: int, su: int, n_w: int, sw: int, trials: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``trials`` uniform su-subsets of range(n_u), then of
+    ``trials`` sw-subsets of range(n_w), from one ``default_rng(seed)``.
+
+    Each row keeps the positions of its su (sw) smallest uniform keys, found
+    by ``argpartition``; rows are unsorted, all U' rows are drawn before
+    all W' rows, and every subset of the size is equally likely.
+    """
+    if seed < 0:
+        raise ParameterError(f"seed {seed} must be non-negative")
+    rng = np.random.default_rng(seed)
+    us = np.argpartition(rng.random((trials, n_u)), su - 1, axis=1)[:, :su]
+    ws = np.argpartition(rng.random((trials, n_w)), sw - 1, axis=1)[:, :sw]
+    return us, ws
+
+
+def sampled_block_regularity(
+    sub: np.ndarray, base: float, left, right, epsilon: float, p: float, trials: int, seed: int
 ) -> RegularityVerdict:
-    """Randomised violation search; deterministic given the seed."""
-    _validate(pair, epsilon, p)
+    """``sampled_regularity`` on a pair's 0/1 block, given its base
+    p-density; ``left`` and ``right`` label the rows and columns for the
+    witness."""
+    _validate_shape(sub.shape, epsilon, p)
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    base = p_density(pair, p)
-    sub = pair_block(pair)
     n_u, n_w = sub.shape
     su = min_size(epsilon, n_u)
     sw = min_size(epsilon, n_w)
-    rng = random.Random(seed)
-    draws = [(rng.sample(range(n_u), su), rng.sample(range(n_w), sw)) for _ in range(trials)]
-    us = np.array([u for u, _ in draws], dtype=np.intp)
-    ws = np.array([w for _, w in draws], dtype=np.intp)
+    us, ws = draw_subsets(n_u, su, n_w, sw, trials, seed)
 
     # per trial: the drawn pair's density, then the better of the densest
     # and the sparsest degree-sorted prefix of W against the drawn U'
@@ -173,8 +193,8 @@ def sampled_regularity(
     else:
         worst, dens, wpos = rand_dev[j], rand_dens[j], ws[j]
     worst_witness = (
-        VertexSet.of(pair.left.indices[i] for i in us[j]),
-        VertexSet.of(pair.right.indices[i] for i in wpos),
+        VertexSet.of(np.asarray(left)[us[j]].tolist()),
+        VertexSet.of(np.asarray(right)[wpos].tolist()),
         dens,
     )
 
@@ -189,6 +209,24 @@ def sampled_regularity(
         worst_witness=worst_witness,
         failure_reason=None if regular else "irregularity witness",
     )
+
+
+def sampled_regularity(
+    pair: BipartitePairView, epsilon: float, p: float, trials: int, seed: int
+) -> RegularityVerdict:
+    """Randomised violation search; deterministic given the seed."""
+    _validate(pair, epsilon, p)
+    return sampled_block_regularity(
+        pair_block(pair), p_density(pair, p), pair.left.indices, pair.right.indices,
+        epsilon, p, trials, seed,
+    )
+
+
+def apply_density_floor(verdict: RegularityVerdict, d: float) -> RegularityVerdict:
+    """``verdict`` with d recorded and the floor d_p(U,W) >= d - eps applied."""
+    if verdict.base_p_density < d - verdict.epsilon - ABS_TOL:
+        return replace(verdict, regular=False, failure_reason="density floor", d=d)
+    return replace(verdict, d=d)
 
 
 def check_eps_d_p(
@@ -208,9 +246,7 @@ def check_eps_d_p(
         verdict = sampled_regularity(pair, epsilon, p, trials=trials, seed=seed)
     else:
         raise ParameterError(f"unknown method {method!r}")
-    if verdict.base_p_density < d - epsilon - 1e-12:
-        return replace(verdict, regular=False, failure_reason="density floor", d=d)
-    return replace(verdict, d=d)
+    return apply_density_floor(verdict, d)
 
 
 def slice_and_check(
@@ -235,7 +271,7 @@ def slice_and_check(
         raise ParameterError("need 0 < epsilon < gamma")
     if not u_slice.issubset(pair.left) or not w_slice.issubset(pair.right):
         raise ParameterError("slices must be subsets of the pair's sides")
-    if len(u_slice) < gamma * len(pair.left) - 1e-12 or len(w_slice) < gamma * len(pair.right) - 1e-12:
+    if len(u_slice) < gamma * len(pair.left) - ABS_TOL or len(w_slice) < gamma * len(pair.right) - ABS_TOL:
         raise ParameterError("slice sizes below the gamma fraction precondition")
     base = p_density(pair, p)
     slice_pair = BipartitePairView(pair.graph, u_slice, w_slice)
@@ -245,7 +281,7 @@ def slice_and_check(
         verdict = sampled_regularity(slice_pair, epsilon / gamma, p, trials=trials, seed=seed)
     else:
         raise ParameterError(f"unknown method {method!r}")
-    density_ok = abs(verdict.base_p_density - base) <= epsilon + 1e-12
+    density_ok = abs(verdict.base_p_density - base) <= epsilon + ABS_TOL
     ok = verdict.regular and density_ok
     return replace(
         verdict,

@@ -218,6 +218,8 @@ class RunConfig:
     out_dir: str = "reports"
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ParameterError(f"seed {self.seed} must be non-negative")
         if self.workers < 1:
             raise ParameterError("workers must be >= 1")
         env_dir = os.environ.get(ENV_OUT_DIR)

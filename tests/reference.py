@@ -3,9 +3,10 @@
 ``exact_jumble_gamma`` and ``exact_regularity`` are the pure-Python
 enumeration loops that the shared numpy kernel in ``bijumble._subsets``
 replaced, and ``sampled_regularity`` is the per-trial loop that the batched
-``bijumble.regularity.sampled_regularity`` replaced, all kept verbatim: the
-replacements must match them exactly, values, verdicts and witnesses, ties
-included.  The ``naive_*`` oracles enumerate all subset pairs of both sides,
+``bijumble.regularity.sampled_regularity`` replaced, all kept verbatim (the
+loop takes its subsets from the shared ``draw_subsets``): the replacements
+must match them exactly, values, verdicts and witnesses, ties included.
+The ``naive_*`` oracles enumerate all subset pairs of both sides,
 ``brute_force_c4`` all 4-tuples and ``brute_force_partite_copies`` all
 assignments of pattern vertices to their parts.
 
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from bijumble.graphs import (
 )
 from bijumble.jumbled import DEFAULT_ENUM_CAP, JumbleCertificate, _discrepancy
 from bijumble.quads import C4Census, PairClassCensus
-from bijumble.regularity import RegularityVerdict, _validate
+from bijumble.regularity import RegularityVerdict, _validate, draw_subsets
 
 
 def exact_jumble_gamma(
@@ -207,7 +207,7 @@ def sampled_regularity(
     n_u, n_w = len(left_idx), len(right_idx)
     su = min_size(epsilon, n_u)
     sw = min_size(epsilon, n_w)
-    rng = random.Random(seed)
+    draws_u, draws_w = draw_subsets(n_u, su, n_w, sw, trials, seed)
     t_range = np.arange(sw, n_w + 1)
     positions = np.arange(n_w)
 
@@ -224,9 +224,9 @@ def sampled_regularity(
                 dens,
             )
 
-    for _ in range(trials):
-        upos = sorted(rng.sample(range(n_u), su))
-        wpos = sorted(rng.sample(range(n_w), sw))
+    for drawn_u, drawn_w in zip(draws_u.tolist(), draws_w.tolist()):
+        upos = sorted(drawn_u)
+        wpos = sorted(drawn_w)
         dens = sub[np.ix_(upos, wpos)].sum(dtype=np.int64) / (p * su * sw)
         consider(abs(dens - base), dens, upos, wpos)
 

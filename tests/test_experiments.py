@@ -1,11 +1,14 @@
 import math
+import random
 
 import pytest
 
 from bijumble.errors import ParameterError
-from bijumble.graphs import Graph, TripartiteSystem, VertexSet
+from bijumble.graphs import BipartitePairView, Graph, TripartiteSystem, VertexSet
 from bijumble.experiments import (
     ExperimentPlan,
+    PerVertexVerdict,
+    _child_seed,
     bad_pair_bounds_audit,
     gen_bipartite,
     gen_tripartite,
@@ -14,7 +17,7 @@ from bijumble.experiments import (
     sparsify,
     two_sided_experiment,
 )
-from bijumble.regularity import exact_regularity, sampled_regularity
+from bijumble.regularity import check_eps_d_p, exact_regularity, sampled_regularity
 
 
 def build(n, p, d, seed):
@@ -249,3 +252,53 @@ def test_bad_pairs_strict_mode_honesty():
             s, 0.5, 0.25, 0.5, 0.25, direction=direction, p=0.3, mode="strict", seed=5
         )
         assert report.verdict == "hypotheses-not-met"
+
+
+def per_x_view_loop(system, lemma, eps_prime, d, p, trials, seed):
+    """The per-x verdicts as a plain loop of ``check_eps_d_p`` over pair
+    views of each x's host neighbourhoods."""
+    out = []
+    for x in system.x:
+        ny = VertexSet.from_mask(system.host.rows[x] & system.y.mask)
+        nz = system.z if lemma == "one_sided" else VertexSet.from_mask(system.host.rows[x] & system.z.mask)
+        deg_z = None if lemma == "one_sided" else len(nz)
+        if not len(ny) or not len(nz):
+            out.append(PerVertexVerdict(x, False, None, "empty neighborhood", len(ny), deg_z))
+            continue
+        v = check_eps_d_p(BipartitePairView(system.sub, ny, nz), eps_prime, d, p,
+                          method="sampled", trials=trials, seed=_child_seed(seed, x))
+        out.append(PerVertexVerdict(x, v.regular, v.deviation, v.failure_reason, len(ny), deg_z))
+    return tuple(out)
+
+
+def isolate_from(system, x, part):
+    """``system`` with every host (and G) edge between x and ``part`` removed."""
+    def cut(rows):
+        rows = list(rows)
+        rows[x] &= ~part.mask
+        for v in part:
+            rows[v] &= ~(1 << x)
+        return Graph(len(rows), tuple(rows))
+
+    return TripartiteSystem(cut(system.host.rows), cut(system.sub.rows), system.x, system.y, system.z)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cut_path_equals_per_x_view_loop(seed):
+    rnd = random.Random(seed)
+    nx, ny, nz = rnd.randint(4, 12), rnd.randint(5, 30), rnd.randint(5, 30)
+    p = rnd.choice((0.3, 0.5, 0.7))
+    system = sparsify(gen_tripartite(nx, ny, nz, p, seed=seed), rnd.choice((0.5, 0.8)), seed=seed + 1)
+    system = isolate_from(system, 0, system.y)  # an empty N(x) in Y
+    system = isolate_from(system, 1, system.z)  # an empty N(x) in Z (two-sided only)
+    reasons = set()
+    for lemma, run in (("one_sided", one_sided_experiment), ("two_sided", two_sided_experiment)):
+        # d = 0.95 puts most derived pairs below the density floor
+        for eps_prime, d in ((0.6, 0.3), (0.2, 0.95), (rnd.uniform(0.05, 0.6), rnd.random())):
+            trials = rnd.choice((1, 3, 8))
+            for workers in (1, 2):
+                got = run(system, eps_prime, d, p, method="sampled", trials=trials, seed=seed,
+                          workers=workers).per_x
+                assert got == per_x_view_loop(system, lemma, eps_prime, d, p, trials, seed)
+                reasons |= {v.reason for v in got}
+    assert {"empty neighborhood", "density floor", None} <= reasons

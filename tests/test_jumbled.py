@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bijumble import jumbled
+from bijumble.cli import run_cli
 from bijumble.errors import BijumbleError, CapacityError, ParameterError
 from bijumble.graphs import (
     Graph,
@@ -260,3 +261,17 @@ def test_certificate_serialisation_round_trip():
     rec = cert.to_record()
     assert rec["method"] == "exact" and rec["sound_upper"] is True
     assert rec["witness_left"] and rec["witness_right"]
+
+
+@pytest.mark.parametrize("p", [1.5, -0.5, math.nan])
+def test_both_methods_reject_p_outside_unit_interval(p, tmp_path, capsys):
+    for method in (exact_jumble_gamma, spectral_jumble_bound):
+        with pytest.raises(ParameterError, match=r"p must lie in \(0,1\]"):
+            method(perfect_matching(2), p)
+    graph = tmp_path / "m2.el"
+    graph.write_text("n=4\n0 2\n1 3\n")
+    for method in ("exact", "spectral"):
+        code = run_cli(["certify", "--graph", str(graph), "--left", "0..1", "--right", "2..3",
+                        "--p", str(p), "--method", method])
+        captured = capsys.readouterr()
+        assert code == 2 and "p must lie in (0,1]" in captured.err and not captured.out

@@ -300,3 +300,25 @@ def test_cli_io_error_exit_code(tmp_path, capsys):
                     "--seed", "1", "--out", str(target / "sub")])
     capsys.readouterr()
     assert code == 4
+
+
+def test_cli_negative_seed_is_a_usage_error(tmp_path, capsys):
+    flags = ["inherit", "--lemma", "one_sided", "--nx", "6", "--ny", "6", "--nz", "6",
+             "--p", "0.4", "--d", "0.9", "--eps-prime", "0.3", "--trials", "2", "--out", str(tmp_path)]
+    graph = tmp_path / "m3.el"
+    graph.write_text("n=6\n0 3\n1 4\n2 5\n")
+    cfg = tmp_path / "cfg"
+    cfg.write_text("seed = -3\n")
+    plan = tmp_path / "one.plan"
+    plan.write_text("lemma = one_sided\nnx = 6\nny = 6\nnz = 6\np = 0.4\nd = 0.9\neps_prime = 0.3\nseed = -2\n")
+    for argv, seed in (
+        (flags + ["--seed", "-1"], -1),
+        (["regularity", "--graph", str(graph), "--left", "0..2", "--right", "3..5", "--p", "0.5",
+          "--epsilon", "0.5", "--method", "sampled", "--seed", "-5"], -5),
+        (flags + ["--config", str(cfg)], -3),
+        (["inherit", "--plan", str(plan), "--out", str(tmp_path)], -2),
+    ):
+        code = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and f"seed {seed} must be non-negative" in err
+    assert not list(tmp_path.glob("*.json"))

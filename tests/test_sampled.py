@@ -1,13 +1,16 @@
-"""The batched sampled regularity search against the per-trial loop it replaced."""
+"""The batched sampled regularity search against the per-trial loop it replaced,
+and the subset draws the two share."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from bijumble import regularity
+from bijumble.errors import ParameterError
 from bijumble.experiments import gen_bipartite
 from bijumble.graphs import Graph, complete_bipartite, empty_pair, pair_on
-from bijumble.regularity import sampled_regularity
+from bijumble.regularity import draw_subsets, sampled_regularity
 
 import reference
 
@@ -72,3 +75,24 @@ def test_batched_many_trials_across_blocks(monkeypatch):
     assert_same(pr, 0.25, 0.3, 200, 5)
     monkeypatch.setattr(regularity, "TRIAL_BLOCK_BYTES", 1)
     assert_same(pr, 0.25, 0.3, 200, 5)
+
+
+def test_draw_subsets_rows_are_seeded_uniform_subsets():
+    for n_u, su, n_w, sw, trials in ((1, 1, 1, 1, 1), (7, 7, 30, 1, 5), (40, 13, 9, 4, 12)):
+        us, ws = draw_subsets(n_u, su, n_w, sw, trials, seed=11)
+        for rows, n, s in ((us, n_u, su), (ws, n_w, sw)):
+            assert rows.shape == (trials, s)
+            for row in rows.tolist():
+                assert len(set(row)) == s and all(0 <= v < n for v in row)
+        again = draw_subsets(n_u, su, n_w, sw, trials, seed=11)
+        assert (again[0] == us).all() and (again[1] == ws).all()
+    # U' rows come first on the stream: W' draws do not move them
+    assert (draw_subsets(40, 13, 9, 4, 12, 5)[0] == draw_subsets(40, 13, 20, 4, 12, 5)[0]).all()
+    # all 10 two-subsets of 5 positions, 4000 draws: each near 400 (sd 19)
+    us, _ = draw_subsets(5, 2, 1, 1, 4000, seed=3)
+    counts = Counter(tuple(sorted(row)) for row in us.tolist())
+    assert len(counts) == 10 and all(300 < c < 500 for c in counts.values())
+    with pytest.raises(ParameterError, match="seed -1"):
+        draw_subsets(5, 2, 5, 2, 3, seed=-1)
+    with pytest.raises(ParameterError, match="seed -5"):
+        sampled_regularity(complete_bipartite(3, 3), 0.5, 1.0, 2, seed=-5)
