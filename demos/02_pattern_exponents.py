@@ -32,7 +32,9 @@ print("book, centre-last order: two-sided =",
       exponent_report(centre_last).two_sided_exponent)
 
 # The optimiser searches orders.  Exhaustive and branch-and-bound are exact
-# (capacities 9 and 12 vertices); the heuristic tries degeneracy orders from
+# (capacities 9 and 12 vertices): one depth-first search over order prefixes,
+# cut once a prefix's terms reach the best order found, which branch-and-bound
+# seeds with the heuristic's.  The heuristic tries degeneracy orders from
 # min-degree removal plus descending-degree orders, which recovers the
 # centre-first order here.
 seq, best = optimize_order(book, "two_sided", "heuristic")

@@ -500,6 +500,8 @@ def _apply_config(args):
         args.out = cfg.out_dir
     if getattr(args, "workers", "absent") is None:
         args.workers = cfg.workers if cfg else 1
+    if getattr(args, "workers", 1) < 1:
+        raise ParameterError(f"workers {args.workers} must be >= 1")
     return args
 
 

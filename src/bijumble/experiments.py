@@ -53,7 +53,7 @@ from .regularity import (
     check_eps_d_p,
     sampled_block_regularity,
 )
-from .reports import AuditReport, HypothesisRecord, make_report
+from .reports import AuditReport, HypothesisRecord, make_report, parse_key_values
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,10 @@ class ExperimentPlan:
     trials: int = 12
 
     def __post_init__(self):
+        if self.lemma not in ("one_sided", "two_sided"):
+            raise ParameterError(f"unknown lemma {self.lemma!r}")
+        if self.method not in ("exact", "sampled"):
+            raise ParameterError(f"unknown method {self.method!r}")
         if min(self.nx, self.ny, self.nz) < 1:
             raise ParameterError("part sizes must be positive")
         for name, prob in (("p", self.p), ("d", self.d), ("eps_prime", self.eps_prime)):
@@ -100,19 +104,8 @@ class ExperimentPlan:
     @classmethod
     def from_text(cls, text: str, **overrides) -> "ExperimentPlan":
         """Parse a flat ``key = value`` plan file (same syntax as the run
-        config); an unknown key is an error."""
-        values: dict = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParameterError(f"plan line {lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in cls._FIELD_TYPES:
-                raise ParameterError(f"plan line {lineno}: unknown key {key!r}")
-            values[key] = cls._FIELD_TYPES[key](val)
+        config); an unknown key or an unconvertible value is an error."""
+        values = parse_key_values(text, cls._FIELD_TYPES, "plan")
         values.update(overrides)
         missing = {"lemma", "nx", "ny", "nz", "p", "d", "eps_prime", "seed"} - values.keys()
         if missing:

@@ -214,57 +214,39 @@ def search_jumble_violation(
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     rows = pair.graph.rows
-    left, right = pair.left.indices, pair.right.indices
+    sides = (pair.left.indices, pair.right.indices)
     rng = random.Random(seed)
     best = (-1.0, None, None)
 
-    def edge_count(umask: int, vlist: list[int]) -> int:
-        return sum((rows[w] & umask).bit_count() for w in vlist)
-
     for _ in range(trials):
-        su = rng.randint(1, len(left))
-        sv = rng.randint(1, len(right))
-        uset = set(rng.sample(left, su))
-        vset = set(rng.sample(right, sv))
-        umask = sum(1 << v for v in uset)
-        vmask = sum(1 << v for v in vset)
-        e = sum((rows[u] & vmask).bit_count() for u in uset)
-        score = _discrepancy(e, p, len(uset), len(vset))
-        improved = True
-        while improved:
-            improved = False
+        su = rng.randint(1, len(sides[0]))
+        sv = rng.randint(1, len(sides[1]))
+        chosen = [set(rng.sample(sides[0], su)), set(rng.sample(sides[1], sv))]
+        masks = [sum(1 << v for v in part) for part in chosen]
+        e = sum((rows[u] & masks[1]).bit_count() for u in chosen[0])
+        score = _discrepancy(e, p, su, sv)
+        while True:
             cand = None  # (score, side, vertex, new_e)
-            for u in left:
-                inside = u in uset
-                if inside and len(uset) == 1:
-                    continue
-                delta = (rows[u] & vmask).bit_count()
-                ne = e - delta if inside else e + delta
-                ns = len(uset) - 1 if inside else len(uset) + 1
-                sc = _discrepancy(ne, p, ns, len(vset))
-                if sc > score + 1e-12 and (cand is None or sc > cand[0] + 1e-12):
-                    cand = (sc, "L", u, ne)
-            for w in right:
-                inside = w in vset
-                if inside and len(vset) == 1:
-                    continue
-                delta = (rows[w] & umask).bit_count()
-                ne = e - delta if inside else e + delta
-                ns = len(vset) - 1 if inside else len(vset) + 1
-                sc = _discrepancy(ne, p, len(uset), ns)
-                if sc > score + 1e-12 and (cand is None or sc > cand[0] + 1e-12):
-                    cand = (sc, "R", w, ne)
-            if cand is not None:
-                score, side, vtx, e = cand
-                if side == "L":
-                    uset.symmetric_difference_update({vtx})
-                    umask ^= 1 << vtx
-                else:
-                    vset.symmetric_difference_update({vtx})
-                    vmask ^= 1 << vtx
-                improved = True
+            for side, vertices in enumerate(sides):
+                part, other_mask = chosen[side], masks[1 - side]
+                for x in vertices:
+                    inside = x in part
+                    if inside and len(part) == 1:
+                        continue
+                    delta = (rows[x] & other_mask).bit_count()
+                    ne = e - delta if inside else e + delta
+                    sizes = [len(chosen[0]), len(chosen[1])]
+                    sizes[side] += -1 if inside else 1
+                    sc = _discrepancy(ne, p, *sizes)
+                    if sc > score + 1e-12 and (cand is None or sc > cand[0] + 1e-12):
+                        cand = (sc, side, x, ne)
+            if cand is None:
+                break
+            score, side, x, e = cand
+            chosen[side] ^= {x}
+            masks[side] ^= 1 << x
         if score > best[0]:
-            best = (score, frozenset(uset), frozenset(vset))
+            best = (score, frozenset(chosen[0]), frozenset(chosen[1]))
 
     if best[0] > gamma:
         return JumbleCertificate(

@@ -11,14 +11,27 @@ for one-sided (lower-bound) and two-sided (matching upper bound) counting:
 * ``d_tilde`` - a back-degree statistic built from rankings of the forward
   neighbourhoods; the two-sided exponent is max(k_reg, 1/2 + d_tilde/2).
 
-``optimize_order`` searches the order space for the smallest exponent;
-``line_graph_two_sided_exponent`` computes the earlier line-graph-based exponent
-min((D(L)+4)/2, (degen(L)+6)/2) used for comparison tables.
+Both are maxima of per-vertex terms, and one kernel, ``_terms``, computes the
+terms a vertex owns from the set of vertices placed before it.  Every
+exponent here is the largest term along an order.
+
+``optimize_order`` searches the order space for the smallest exponent.  The
+heuristic takes the best of a few degeneracy and degree orders.  Both exact
+strategies share one depth-first search over prefixes in lexicographic
+vertex order: exhaustive starts with no incumbent, branch-and-bound with the
+heuristic's best.  A prefix's terms are final, so its largest term bounds
+every completion and the search cuts a prefix whose bound is ``>= best``.
+Such a prefix holds no strictly better order, so the search still returns
+the first optimum in ``itertools.permutations`` order.
+
+``line_graph_two_sided_exponent`` computes the earlier line-graph-based
+exponent min((D(L)+4)/2, (degen(L)+6)/2) used for comparison tables.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from functools import total_ordering
@@ -75,17 +88,6 @@ class Pattern:
     def position(self, v: int) -> int:
         return self.sequence.index(v) + 1
 
-    def position_adjacency(self) -> list[list[int]]:
-        """Adjacency relabelled to 0-based positions: padj[i] = positions adjacent to i."""
-        pos = {v: i for i, v in enumerate(self.sequence)}
-        padj: list[list[int]] = [[] for _ in self.sequence]
-        for u, v in self.graph.edges():
-            padj[pos[u]].append(pos[v])
-            padj[pos[v]].append(pos[u])
-        for nbrs in padj:
-            nbrs.sort()
-        return padj
-
 
 @dataclass(frozen=True)
 class ExponentReport:
@@ -110,76 +112,61 @@ def neighborhood_split(pattern: Pattern, v: int, u: int):
     return forward, backward, before_u
 
 
-def _kreg_mills(padj: list[list[int]]) -> int:
-    """k_reg over 0-based position adjacency, in thousandths."""
-    m = len(padj)
-    nbr_masks = [0] * m
-    for i, nbrs in enumerate(padj):
-        for j in nbrs:
-            nbr_masks[i] |= 1 << j
+def _terms(rows: list[int], v: int, before: int) -> tuple[int, int]:
+    """(k_reg term in thousandths, d_tilde term) owned by vertex v.
 
-    below = [(1 << i) - 1 for i in range(m + 1)]
-
-    def back_count(i: int, v: int) -> int:
-        # |N^{<i}(v)|: neighbours of v at positions < i
-        return (nbr_masks[v] & below[i]).bit_count()
-
-    best = 0
-    for i in range(m):
-        n_minus_i = back_count(i, i)
-        above_i = ~below[i + 1]
-        for j in padj[i]:
-            if j < i:
-                continue
-            # first family: ordered edge (i, j)
-            base = 500 * n_minus_i + 500 * back_count(i, j)
-            later_j = nbr_masks[j] & above_i
-            case = 1000
-            if later_j:
-                case = 1500
-                shared = later_j & nbr_masks[i]
-                if shared:
-                    case = 2000
-                    bc_j = back_count(i, j)
-                    if any(back_count(i, k) <= bc_j for k in iter_bits(shared)):
-                        case = 3000
-            best = max(best, base + case)
-            # second family: cherries i-j-j' with j, j' after i
-            for jp in iter_bits(nbr_masks[j] & above_i):
-                tail = 2501 if nbr_masks[i] & (1 << jp) else 2001
-                val = 500 * back_count(i, j) + 500 * back_count(i, jp) + tail
-                best = max(best, val)
-    return best
+    The vertices in the mask ``before`` precede v and every other vertex
+    follows it, so the terms are final once v's predecessors are known.
+    """
+    later = ~before & ~(1 << v)
+    row_v = rows[v]
+    n_minus = (row_v & before).bit_count()
+    kr = 0
+    backs = []  # |N^{<v}(j)| for each forward neighbour j of v
+    for j in iter_bits(row_v & later):
+        bj = (rows[j] & before).bit_count()
+        backs.append(bj)
+        # first family: ordered edge (v, j)
+        later_j = rows[j] & later
+        case = 1000
+        if later_j:
+            case = 1500
+            shared = later_j & row_v
+            if shared:
+                case = 2000
+                if any((rows[k] & before).bit_count() <= bj for k in iter_bits(shared)):
+                    case = 3000
+        kr = max(kr, 500 * (n_minus + bj) + case)
+        # second family: cherries v-j-j' with j, j' after v
+        for jp in iter_bits(later_j):
+            tail = 2501 if row_v >> jp & 1 else 2001
+            kr = max(kr, 500 * (bj + (rows[jp] & before).bit_count()) + tail)
+    # rank positions are 1-based; the max is tie-break independent
+    backs.sort(reverse=True)
+    inner = max((rank + b for rank, b in enumerate(backs, start=1)), default=0)
+    return kr, n_minus + inner
 
 
-def _dtilde_value(padj: list[list[int]]) -> int:
-    m = len(padj)
-    nbr_masks = [0] * m
-    for i, nbrs in enumerate(padj):
-        for j in nbrs:
-            nbr_masks[i] |= 1 << j
-    best = 0
-    for v in range(m):
-        below_v = (1 << v) - 1
-        n_minus = (nbr_masks[v] & below_v).bit_count()
-        forward = [w for w in padj[v] if w > v]
-        inner = 0
-        if forward:
-            backs = sorted(
-                ((nbr_masks[w] & below_v).bit_count() for w in forward), reverse=True
-            )
-            # rank positions are 1-based; the max is tie-break independent
-            inner = max(rank + b for rank, b in enumerate(backs, start=1))
-        best = max(best, n_minus + inner)
-    return best
+def _exponents(pattern: Pattern) -> tuple[int, int]:
+    """(k_reg in thousandths, d_tilde): the largest terms along the order."""
+    rows = pattern.graph.rows
+    kr = dt = before = 0
+    for v in pattern.sequence:
+        k, d = _terms(rows, v, before)
+        kr, dt = max(kr, k), max(dt, d)
+        before |= 1 << v
+    return kr, dt
+
+
+def _objective(kr: int, dt: int, objective: str) -> int:
+    return kr if objective == "one_sided" else max(kr, 500 + 500 * dt)
 
 
 def k_reg(pattern: Pattern) -> MilliValue:
     """Smallest value satisfying every ordered-edge and cherry inequality."""
     if pattern.graph.edge_count() == 0:
         warnings.warn("pattern has no edges; k_reg is 0", stacklevel=2)
-        return MilliValue(0)
-    return MilliValue(_kreg_mills(pattern.position_adjacency()))
+    return MilliValue(_exponents(pattern)[0])
 
 
 def d_tilde(pattern: Pattern) -> int:
@@ -188,12 +175,29 @@ def d_tilde(pattern: Pattern) -> int:
     A vertex with empty forward neighbourhood contributes just its back
     degree (the inner maximum over the empty set is taken as 0).
     """
-    return _dtilde_value(pattern.position_adjacency())
+    return _exponents(pattern)[1]
 
 
 def two_sided_exponent(pattern: Pattern) -> MilliValue:
-    kr = k_reg(pattern) if pattern.graph.edge_count() else MilliValue(0)
-    return MilliValue(max(kr.mills, 500 + 500 * d_tilde(pattern)))
+    return MilliValue(_objective(*_exponents(pattern), "two_sided"))
+
+
+def _min_degree_removal(graph: Graph, tiebreak) -> tuple[int, tuple[int, ...]]:
+    """(largest degree at removal, reversed removal order) when the vertex of
+    least ``(degree, tiebreak(vertex))`` is removed repeatedly."""
+    n = graph.vertex_count
+    alive = (1 << n) - 1
+    deg = [graph.rows[v].bit_count() for v in range(n)]
+    removal: list[int] = []
+    degen = 0
+    for _ in range(n):
+        v = min(iter_bits(alive), key=lambda u: (deg[u], tiebreak(u)))
+        degen = max(degen, deg[v])
+        removal.append(v)
+        alive ^= 1 << v
+        for u in iter_bits(graph.rows[v] & alive):
+            deg[u] -= 1
+    return degen, tuple(reversed(removal))
 
 
 def degeneracy(graph: Graph) -> tuple[int, tuple[int, ...]]:
@@ -203,19 +207,7 @@ def degeneracy(graph: Graph) -> tuple[int, tuple[int, ...]]:
     neighbours.  Ties are broken by lowest vertex index, so the witness is
     deterministic.
     """
-    n = graph.vertex_count
-    alive = (1 << n) - 1
-    deg = [graph.rows[v].bit_count() for v in range(n)]
-    removal: list[int] = []
-    degen = 0
-    for _ in range(n):
-        v = min(iter_bits(alive), key=lambda u: (deg[u], u))
-        degen = max(degen, deg[v])
-        removal.append(v)
-        alive ^= 1 << v
-        for u in iter_bits(graph.rows[v] & alive):
-            deg[u] -= 1
-    return degen, tuple(reversed(removal))
+    return _min_degree_removal(graph, lambda u: u)
 
 
 def line_graph(graph: Graph) -> Graph:
@@ -242,16 +234,14 @@ def line_graph_two_sided_exponent(graph: Graph) -> MilliValue:
 def exponent_report(pattern: Pattern) -> ExponentReport:
     g = pattern.graph
     edgeless = g.edge_count() == 0
-    kr = MilliValue(0) if edgeless else MilliValue(_kreg_mills(pattern.position_adjacency()))
-    dt = d_tilde(pattern)
-    two = MilliValue(max(kr.mills, 500 + 500 * dt))
+    kr, dt = _exponents(pattern)
     degen, _ = degeneracy(g)
     lg_exponent = None if edgeless else line_graph_two_sided_exponent(g)
     return ExponentReport(
-        k_reg=kr,
+        k_reg=MilliValue(kr),
         d_tilde=dt,
-        one_sided_exponent=kr,
-        two_sided_exponent=two,
+        one_sided_exponent=MilliValue(kr),
+        two_sided_exponent=MilliValue(_objective(kr, dt, "two_sided")),
         delta=g.max_degree(),
         degeneracy=degen,
         line_graph_two_sided=lg_exponent,
@@ -259,132 +249,45 @@ def exponent_report(pattern: Pattern) -> ExponentReport:
     )
 
 
-def _objective_mills(padj: list[list[int]], objective: str) -> int:
-    kr = _kreg_mills(padj)
-    if objective == "one_sided":
-        return kr
-    return max(kr, 500 + 500 * _dtilde_value(padj))
-
-
-def _padj_for_sequence(graph: Graph, sequence: tuple[int, ...]) -> list[list[int]]:
-    pos = {v: i for i, v in enumerate(sequence)}
-    padj: list[list[int]] = [[] for _ in sequence]
-    for u, v in graph.edges():
-        padj[pos[u]].append(pos[v])
-        padj[pos[v]].append(pos[u])
-    return padj
-
-
-def _check_objective(objective: str):
-    if objective not in ("one_sided", "two_sided"):
-        raise ParameterError(f"unknown objective {objective!r}")
-
-
-def _optimize_exhaustive(graph: Graph, objective: str) -> tuple[int, tuple[int, ...]]:
-    best = None
-    best_seq = None
-    for seq in itertools.permutations(range(graph.vertex_count)):
-        val = _objective_mills(_padj_for_sequence(graph, seq), objective)
-        if best is None or val < best:
-            best, best_seq = val, seq
-    return best, best_seq
-
-
 def _heuristic_orders(graph: Graph) -> list[tuple[int, ...]]:
     """Candidate orders: min-degree-removal degeneracy orders under several
     tie-breaks, descending-degree static orders, and the identity."""
     n = graph.vertex_count
-    orders: list[tuple[int, ...]] = [tuple(range(n))]
-
-    def degeneracy_order(tiebreak) -> tuple[int, ...]:
-        alive = (1 << n) - 1
-        deg = [graph.rows[v].bit_count() for v in range(n)]
-        removal = []
-        for _ in range(n):
-            v = min(iter_bits(alive), key=lambda u: (deg[u], tiebreak(u)))
-            removal.append(v)
-            alive ^= 1 << v
-            for u in iter_bits(graph.rows[v] & alive):
-                deg[u] -= 1
-        return tuple(reversed(removal))
-
-    orders.append(degeneracy_order(lambda u: u))
-    orders.append(degeneracy_order(lambda u: -u))
-    for salt in range(4):
-        orders.append(degeneracy_order(lambda u, s=salt: (u * 2654435761 + s * 40503) % 104729))
+    tiebreaks = [lambda u: u, lambda u: -u] + [
+        lambda u, s=salt: (u * 2654435761 + s * 40503) % 104729 for salt in range(4)
+    ]
     deg = [graph.rows[v].bit_count() for v in range(n)]
-    orders.append(tuple(sorted(range(n), key=lambda v: (-deg[v], v))))
-    orders.append(tuple(sorted(range(n), key=lambda v: (-deg[v], -v))))
-    seen = set()
-    unique = []
-    for seq in orders:
-        if seq not in seen:
-            seen.add(seq)
-            unique.append(seq)
-    return unique
+    orders = [
+        tuple(range(n)),
+        *(_min_degree_removal(graph, tiebreak)[1] for tiebreak in tiebreaks),
+        tuple(sorted(range(n), key=lambda v: (-deg[v], v))),
+        tuple(sorted(range(n), key=lambda v: (-deg[v], -v))),
+    ]
+    return list(dict.fromkeys(orders))
 
 
-def _optimize_heuristic(graph: Graph, objective: str) -> tuple[int, tuple[int, ...]]:
-    best = None
-    best_seq = None
-    for seq in _heuristic_orders(graph):
-        val = _objective_mills(_padj_for_sequence(graph, seq), objective)
-        if best is None or val < best:
-            best, best_seq = val, seq
-    return best, best_seq
+def _search(graph: Graph, objective: str, strategy: str) -> tuple[int, ...]:
+    """The order chosen by ``strategy``; see ``optimize_order``.
 
-
-def _optimize_branch_and_bound(graph: Graph, objective: str) -> tuple[int, tuple[int, ...]]:
-    """Exact search over orders, pruning partial prefixes.
-
-    Once a vertex is placed, its entire contribution to k_reg and d_tilde is
-    determined (all unplaced vertices necessarily come later), so a prefix
-    yields an exact lower bound; d_tilde >= max degree supplies the floor for
-    the still-unplaced vertices in the two-sided objective.
+    Both exact strategies run one depth-first search over prefixes in
+    lexicographic vertex order.  A placed vertex's terms are final, so a
+    prefix's largest term bounds every completion, and a prefix whose bound
+    is ``>= best`` holds no strictly better order: the search returns the
+    first optimum in ``itertools.permutations`` order, or the incumbent.
     """
     n = graph.vertex_count
     rows = graph.rows
-    best, best_seq = _optimize_heuristic(graph, objective)
+    best, best_seq = math.inf, None
+    if strategy != "exhaustive":
+        for seq in _heuristic_orders(graph):
+            val = _objective(*_exponents(Pattern(graph, seq)), objective)
+            if val < best:
+                best, best_seq = val, seq
+        if strategy == "heuristic":
+            return best_seq
+    # d_tilde >= max degree in every order, so the two-sided bound starts at
+    # this floor and an incumbent already at the floor is cut at the root
     floor = 500 + 500 * graph.max_degree() if objective == "two_sided" else 0
-    if best <= floor and objective == "two_sided":
-        return best, best_seq
-
-    def contribution(v: int, before_v_mask: int) -> int:
-        # exact objective terms owned by vertex v once it is placed; every
-        # vertex not in before_v_mask sits after v in any completion
-
-        def back(u: int, cut_mask: int) -> int:
-            return (rows[u] & cut_mask).bit_count()
-
-        later_mask = ~before_v_mask & ~(1 << v)
-        n_minus = back(v, before_v_mask)
-        term = 0
-        # first-family and cherry terms with i = v
-        for j in iter_bits(rows[v] & later_mask):
-            base = 500 * n_minus + 500 * back(j, before_v_mask)
-            later_j = rows[j] & later_mask & ~(1 << j)
-            case = 1000
-            if later_j:
-                case = 1500
-                shared = later_j & rows[v]
-                if shared:
-                    case = 2000
-                    bc_j = back(j, before_v_mask)
-                    if any(back(k, before_v_mask) <= bc_j for k in iter_bits(shared)):
-                        case = 3000
-            term = max(term, base + case)
-            for jp in iter_bits(rows[j] & later_mask & ~(1 << v)):
-                tail = 2501 if rows[v] & (1 << jp) else 2001
-                term = max(term, 500 * back(j, before_v_mask) + 500 * back(jp, before_v_mask) + tail)
-        if objective == "two_sided":
-            forward = list(iter_bits(rows[v] & later_mask))
-            inner = 0
-            if forward:
-                backs = sorted((back(w, before_v_mask) for w in forward), reverse=True)
-                inner = max(rank + b for rank, b in enumerate(backs, start=1))
-            term = max(term, 500 + 500 * (n_minus + inner))
-        return term
-
     prefix: list[int] = []
 
     def dfs(placed_mask: int, bound_so_far: int):
@@ -398,13 +301,13 @@ def _optimize_branch_and_bound(graph: Graph, objective: str) -> tuple[int, tuple
             bit = 1 << v
             if placed_mask & bit:
                 continue
-            term = contribution(v, placed_mask)
+            term = _objective(*_terms(rows, v, placed_mask), objective)
             prefix.append(v)
             dfs(placed_mask | bit, max(bound_so_far, term))
             prefix.pop()
 
     dfs(0, floor)
-    return best, best_seq
+    return best_seq
 
 
 def optimize_order(graph: Graph, objective: str, strategy: str) -> tuple[tuple[int, ...], ExponentReport]:
@@ -414,22 +317,15 @@ def optimize_order(graph: Graph, objective: str, strategy: str) -> tuple[tuple[i
     limits; ``heuristic`` evaluates degeneracy orders from min-degree removal
     plus descending-degree orders and returns the best found.
     """
-    _check_objective(objective)
-    n = graph.vertex_count
-    if strategy == "exhaustive":
-        if n > EXHAUSTIVE_LIMIT:
-            raise CapacityError(f"exhaustive strategy limited to {EXHAUSTIVE_LIMIT} vertices, got {n}")
-        _, seq = _optimize_exhaustive(graph, objective)
-    elif strategy == "branch_and_bound":
-        if n > BRANCH_AND_BOUND_LIMIT:
-            raise CapacityError(
-                f"branch_and_bound strategy limited to {BRANCH_AND_BOUND_LIMIT} vertices, got {n}"
-            )
-        _, seq = _optimize_branch_and_bound(graph, objective)
-    elif strategy == "heuristic":
-        _, seq = _optimize_heuristic(graph, objective)
-    else:
+    if objective not in ("one_sided", "two_sided"):
+        raise ParameterError(f"unknown objective {objective!r}")
+    limits = {"exhaustive": EXHAUSTIVE_LIMIT, "branch_and_bound": BRANCH_AND_BOUND_LIMIT, "heuristic": None}
+    if strategy not in limits:
         raise ParameterError(f"unknown strategy {strategy!r}")
+    n, limit = graph.vertex_count, limits[strategy]
+    if limit is not None and n > limit:
+        raise CapacityError(f"{strategy} strategy limited to {limit} vertices, got {n}")
+    seq = _search(graph, objective, strategy)
     return seq, exponent_report(Pattern(graph, seq))
 
 

@@ -204,6 +204,34 @@ def write_report(report: AuditReport, out_dir) -> Path:
     return path
 
 
+def parse_key_values(text: str, field_types: dict, what: str) -> dict:
+    """Parse flat ``key = value`` lines, skipping blanks and ``#`` comments.
+
+    Each value goes through ``field_types[key]``; a line without ``=``, an
+    unknown key or a value that fails to convert is a ParameterError naming
+    the ``what`` line, the key and the value.
+    """
+    values: dict = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParameterError(f"{what} line {lineno}: expected 'key = value'")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in field_types:
+            raise ParameterError(f"{what} line {lineno}: unknown key {key!r}")
+        convert = field_types[key]
+        try:
+            values[key] = convert(val)
+        except ValueError:
+            raise ParameterError(
+                f"{what} line {lineno}: {key} = {val!r} is not a valid {convert.__name__}"
+            ) from None
+    return values
+
+
 @dataclass
 class RunConfig:
     """Global toolkit configuration; the seed is mandatory.
@@ -230,21 +258,7 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text: str, **overrides) -> "RunConfig":
-        values: dict = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParameterError(f"config line {lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in cls._FIELD_TYPES:
-                raise ParameterError(f"config line {lineno}: unknown key {key!r}")
-            try:
-                values[key] = cls._FIELD_TYPES[key](val)
-            except ValueError:
-                raise ParameterError(f"config line {lineno}: {key} = {val!r} is not an integer") from None
+        values = parse_key_values(text, cls._FIELD_TYPES, "config")
         values.update(overrides)
         if "seed" not in values:
             raise ParameterError("config must provide a seed")

@@ -16,12 +16,20 @@ that the one ``bijumble.quads.codegrees`` kernel replaced, kept verbatim
 (``classify_pairs`` without its removed ``include_labels`` option):
 ``bad_pair_totals`` holds the measured-value loops of both directions of
 ``bijumble.experiments.bad_pair_bounds_audit``.
+
+``_kreg_mills``, ``_dtilde_value``, ``degeneracy``, ``_heuristic_orders``
+and the three ``_optimize_*`` searches are the pattern-exponent code that
+the one per-vertex kernel of ``bijumble.patterns`` replaced, and
+``search_jumble_violation`` is the hill climb with its two hand-copied
+toggle loops, all kept verbatim.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
+from typing import Optional
 
 import numpy as np
 
@@ -32,6 +40,7 @@ from bijumble.embeddings import PartiteInstance
 from bijumble.errors import CapacityError, ParameterError
 from bijumble.graphs import (
     BipartitePairView,
+    Graph,
     TripartiteSystem,
     VertexSet,
     bool_matrix,
@@ -39,6 +48,7 @@ from bijumble.graphs import (
     p_density,
 )
 from bijumble.jumbled import DEFAULT_ENUM_CAP, JumbleCertificate, _discrepancy
+from bijumble.patterns import ExponentReport, MilliValue, Pattern, line_graph
 from bijumble.quads import C4Census, PairClassCensus
 from bijumble.regularity import RegularityVerdict, _validate, draw_subsets
 
@@ -458,3 +468,374 @@ def bad_pair_totals(system: TripartiteSystem, d: float, p: float, delta: float) 
             acc += (badmask[y] & nm).bit_count()
         total += acc // 2
     return bad, total
+
+
+# -- pattern exponents and order search ----------------------------------------
+#
+# The position-adjacency formulas for k_reg and d_tilde, the two copies of
+# min-degree removal and the three order searches that the one per-vertex
+# kernel ``bijumble.patterns._terms`` and its single depth-first search
+# replaced, kept verbatim (``position_adjacency`` was a ``Pattern`` method and
+# ``exponent_report`` called it as one).
+
+
+def position_adjacency(self) -> list[list[int]]:
+    """Adjacency relabelled to 0-based positions: padj[i] = positions adjacent to i."""
+    pos = {v: i for i, v in enumerate(self.sequence)}
+    padj: list[list[int]] = [[] for _ in self.sequence]
+    for u, v in self.graph.edges():
+        padj[pos[u]].append(pos[v])
+        padj[pos[v]].append(pos[u])
+    for nbrs in padj:
+        nbrs.sort()
+    return padj
+
+
+def _kreg_mills(padj: list[list[int]]) -> int:
+    """k_reg over 0-based position adjacency, in thousandths."""
+    m = len(padj)
+    nbr_masks = [0] * m
+    for i, nbrs in enumerate(padj):
+        for j in nbrs:
+            nbr_masks[i] |= 1 << j
+
+    below = [(1 << i) - 1 for i in range(m + 1)]
+
+    def back_count(i: int, v: int) -> int:
+        # |N^{<i}(v)|: neighbours of v at positions < i
+        return (nbr_masks[v] & below[i]).bit_count()
+
+    best = 0
+    for i in range(m):
+        n_minus_i = back_count(i, i)
+        above_i = ~below[i + 1]
+        for j in padj[i]:
+            if j < i:
+                continue
+            # first family: ordered edge (i, j)
+            base = 500 * n_minus_i + 500 * back_count(i, j)
+            later_j = nbr_masks[j] & above_i
+            case = 1000
+            if later_j:
+                case = 1500
+                shared = later_j & nbr_masks[i]
+                if shared:
+                    case = 2000
+                    bc_j = back_count(i, j)
+                    if any(back_count(i, k) <= bc_j for k in iter_bits(shared)):
+                        case = 3000
+            best = max(best, base + case)
+            # second family: cherries i-j-j' with j, j' after i
+            for jp in iter_bits(nbr_masks[j] & above_i):
+                tail = 2501 if nbr_masks[i] & (1 << jp) else 2001
+                val = 500 * back_count(i, j) + 500 * back_count(i, jp) + tail
+                best = max(best, val)
+    return best
+
+
+def _dtilde_value(padj: list[list[int]]) -> int:
+    m = len(padj)
+    nbr_masks = [0] * m
+    for i, nbrs in enumerate(padj):
+        for j in nbrs:
+            nbr_masks[i] |= 1 << j
+    best = 0
+    for v in range(m):
+        below_v = (1 << v) - 1
+        n_minus = (nbr_masks[v] & below_v).bit_count()
+        forward = [w for w in padj[v] if w > v]
+        inner = 0
+        if forward:
+            backs = sorted(
+                ((nbr_masks[w] & below_v).bit_count() for w in forward), reverse=True
+            )
+            # rank positions are 1-based; the max is tie-break independent
+            inner = max(rank + b for rank, b in enumerate(backs, start=1))
+        best = max(best, n_minus + inner)
+    return best
+
+
+def degeneracy(graph: Graph) -> tuple[int, tuple[int, ...]]:
+    """(degeneracy, witness order) by repeated minimum-degree removal.
+
+    In the returned order every vertex has at most ``degeneracy`` earlier
+    neighbours.  Ties are broken by lowest vertex index, so the witness is
+    deterministic.
+    """
+    n = graph.vertex_count
+    alive = (1 << n) - 1
+    deg = [graph.rows[v].bit_count() for v in range(n)]
+    removal: list[int] = []
+    degen = 0
+    for _ in range(n):
+        v = min(iter_bits(alive), key=lambda u: (deg[u], u))
+        degen = max(degen, deg[v])
+        removal.append(v)
+        alive ^= 1 << v
+        for u in iter_bits(graph.rows[v] & alive):
+            deg[u] -= 1
+    return degen, tuple(reversed(removal))
+
+
+
+def line_graph_two_sided_exponent(graph: Graph) -> MilliValue:
+    """min((D(L(H))+4)/2, (degen(L(H))+6)/2) in exact thousandths."""
+    lg = line_graph(graph)
+    dmax = lg.max_degree()
+    degen, _ = degeneracy(lg)
+    return MilliValue(min((dmax + 4) * 500, (degen + 6) * 500))
+
+
+def exponent_report(pattern: Pattern) -> ExponentReport:
+    g = pattern.graph
+    edgeless = g.edge_count() == 0
+    kr = MilliValue(0) if edgeless else MilliValue(_kreg_mills(position_adjacency(pattern)))
+    dt = _dtilde_value(position_adjacency(pattern))
+    two = MilliValue(max(kr.mills, 500 + 500 * dt))
+    degen, _ = degeneracy(g)
+    lg_exponent = None if edgeless else line_graph_two_sided_exponent(g)
+    return ExponentReport(
+        k_reg=kr,
+        d_tilde=dt,
+        one_sided_exponent=kr,
+        two_sided_exponent=two,
+        delta=g.max_degree(),
+        degeneracy=degen,
+        line_graph_two_sided=lg_exponent,
+        order=pattern.sequence,
+    )
+
+
+def _objective_mills(padj: list[list[int]], objective: str) -> int:
+    kr = _kreg_mills(padj)
+    if objective == "one_sided":
+        return kr
+    return max(kr, 500 + 500 * _dtilde_value(padj))
+
+
+def _padj_for_sequence(graph: Graph, sequence: tuple[int, ...]) -> list[list[int]]:
+    pos = {v: i for i, v in enumerate(sequence)}
+    padj: list[list[int]] = [[] for _ in sequence]
+    for u, v in graph.edges():
+        padj[pos[u]].append(pos[v])
+        padj[pos[v]].append(pos[u])
+    return padj
+
+
+def _check_objective(objective: str):
+    if objective not in ("one_sided", "two_sided"):
+        raise ParameterError(f"unknown objective {objective!r}")
+
+
+def _optimize_exhaustive(graph: Graph, objective: str) -> tuple[int, tuple[int, ...]]:
+    best = None
+    best_seq = None
+    for seq in itertools.permutations(range(graph.vertex_count)):
+        val = _objective_mills(_padj_for_sequence(graph, seq), objective)
+        if best is None or val < best:
+            best, best_seq = val, seq
+    return best, best_seq
+
+
+def _heuristic_orders(graph: Graph) -> list[tuple[int, ...]]:
+    """Candidate orders: min-degree-removal degeneracy orders under several
+    tie-breaks, descending-degree static orders, and the identity."""
+    n = graph.vertex_count
+    orders: list[tuple[int, ...]] = [tuple(range(n))]
+
+    def degeneracy_order(tiebreak) -> tuple[int, ...]:
+        alive = (1 << n) - 1
+        deg = [graph.rows[v].bit_count() for v in range(n)]
+        removal = []
+        for _ in range(n):
+            v = min(iter_bits(alive), key=lambda u: (deg[u], tiebreak(u)))
+            removal.append(v)
+            alive ^= 1 << v
+            for u in iter_bits(graph.rows[v] & alive):
+                deg[u] -= 1
+        return tuple(reversed(removal))
+
+    orders.append(degeneracy_order(lambda u: u))
+    orders.append(degeneracy_order(lambda u: -u))
+    for salt in range(4):
+        orders.append(degeneracy_order(lambda u, s=salt: (u * 2654435761 + s * 40503) % 104729))
+    deg = [graph.rows[v].bit_count() for v in range(n)]
+    orders.append(tuple(sorted(range(n), key=lambda v: (-deg[v], v))))
+    orders.append(tuple(sorted(range(n), key=lambda v: (-deg[v], -v))))
+    seen = set()
+    unique = []
+    for seq in orders:
+        if seq not in seen:
+            seen.add(seq)
+            unique.append(seq)
+    return unique
+
+
+def _optimize_heuristic(graph: Graph, objective: str) -> tuple[int, tuple[int, ...]]:
+    best = None
+    best_seq = None
+    for seq in _heuristic_orders(graph):
+        val = _objective_mills(_padj_for_sequence(graph, seq), objective)
+        if best is None or val < best:
+            best, best_seq = val, seq
+    return best, best_seq
+
+
+def _optimize_branch_and_bound(graph: Graph, objective: str) -> tuple[int, tuple[int, ...]]:
+    """Exact search over orders, pruning partial prefixes.
+
+    Once a vertex is placed, its entire contribution to k_reg and d_tilde is
+    determined (all unplaced vertices necessarily come later), so a prefix
+    yields an exact lower bound; d_tilde >= max degree supplies the floor for
+    the still-unplaced vertices in the two-sided objective.
+    """
+    n = graph.vertex_count
+    rows = graph.rows
+    best, best_seq = _optimize_heuristic(graph, objective)
+    floor = 500 + 500 * graph.max_degree() if objective == "two_sided" else 0
+    if best <= floor and objective == "two_sided":
+        return best, best_seq
+
+    def contribution(v: int, before_v_mask: int) -> int:
+        # exact objective terms owned by vertex v once it is placed; every
+        # vertex not in before_v_mask sits after v in any completion
+
+        def back(u: int, cut_mask: int) -> int:
+            return (rows[u] & cut_mask).bit_count()
+
+        later_mask = ~before_v_mask & ~(1 << v)
+        n_minus = back(v, before_v_mask)
+        term = 0
+        # first-family and cherry terms with i = v
+        for j in iter_bits(rows[v] & later_mask):
+            base = 500 * n_minus + 500 * back(j, before_v_mask)
+            later_j = rows[j] & later_mask & ~(1 << j)
+            case = 1000
+            if later_j:
+                case = 1500
+                shared = later_j & rows[v]
+                if shared:
+                    case = 2000
+                    bc_j = back(j, before_v_mask)
+                    if any(back(k, before_v_mask) <= bc_j for k in iter_bits(shared)):
+                        case = 3000
+            term = max(term, base + case)
+            for jp in iter_bits(rows[j] & later_mask & ~(1 << v)):
+                tail = 2501 if rows[v] & (1 << jp) else 2001
+                term = max(term, 500 * back(j, before_v_mask) + 500 * back(jp, before_v_mask) + tail)
+        if objective == "two_sided":
+            forward = list(iter_bits(rows[v] & later_mask))
+            inner = 0
+            if forward:
+                backs = sorted((back(w, before_v_mask) for w in forward), reverse=True)
+                inner = max(rank + b for rank, b in enumerate(backs, start=1))
+            term = max(term, 500 + 500 * (n_minus + inner))
+        return term
+
+    prefix: list[int] = []
+
+    def dfs(placed_mask: int, bound_so_far: int):
+        nonlocal best, best_seq
+        if bound_so_far >= best:
+            return
+        if len(prefix) == n:
+            best, best_seq = bound_so_far, tuple(prefix)
+            return
+        for v in range(n):
+            bit = 1 << v
+            if placed_mask & bit:
+                continue
+            term = contribution(v, placed_mask)
+            prefix.append(v)
+            dfs(placed_mask | bit, max(bound_so_far, term))
+            prefix.pop()
+
+    dfs(0, floor)
+    return best, best_seq
+
+
+# -- bijumbledness search -------------------------------------------------------
+#
+# The hill climb with its left-side and right-side toggle loops written out
+# separately, kept verbatim; ``bijumble.jumbled.search_jumble_violation``
+# runs one loop over both sides and must return the same certificate.
+
+
+def search_jumble_violation(
+    pair: BipartitePairView,
+    p: float,
+    gamma: float,
+    trials: int,
+    seed: int,
+) -> Optional[JumbleCertificate]:
+    """Seeded hill climbing for a subset pair with discrepancy above gamma.
+
+    Restarts draw initial sets of uniform random size; the neighbourhood is
+    single-vertex toggles on either side (keeping both sides nonempty) with
+    steepest ascent and lowest-index tie-break.  Returns a witness
+    certificate iff some local optimum exceeds gamma.
+    """
+    if trials < 1:
+        raise ParameterError("trials must be >= 1")
+    rows = pair.graph.rows
+    left, right = pair.left.indices, pair.right.indices
+    rng = random.Random(seed)
+    best = (-1.0, None, None)
+
+    def edge_count(umask: int, vlist: list[int]) -> int:
+        return sum((rows[w] & umask).bit_count() for w in vlist)
+
+    for _ in range(trials):
+        su = rng.randint(1, len(left))
+        sv = rng.randint(1, len(right))
+        uset = set(rng.sample(left, su))
+        vset = set(rng.sample(right, sv))
+        umask = sum(1 << v for v in uset)
+        vmask = sum(1 << v for v in vset)
+        e = sum((rows[u] & vmask).bit_count() for u in uset)
+        score = _discrepancy(e, p, len(uset), len(vset))
+        improved = True
+        while improved:
+            improved = False
+            cand = None  # (score, side, vertex, new_e)
+            for u in left:
+                inside = u in uset
+                if inside and len(uset) == 1:
+                    continue
+                delta = (rows[u] & vmask).bit_count()
+                ne = e - delta if inside else e + delta
+                ns = len(uset) - 1 if inside else len(uset) + 1
+                sc = _discrepancy(ne, p, ns, len(vset))
+                if sc > score + 1e-12 and (cand is None or sc > cand[0] + 1e-12):
+                    cand = (sc, "L", u, ne)
+            for w in right:
+                inside = w in vset
+                if inside and len(vset) == 1:
+                    continue
+                delta = (rows[w] & umask).bit_count()
+                ne = e - delta if inside else e + delta
+                ns = len(vset) - 1 if inside else len(vset) + 1
+                sc = _discrepancy(ne, p, len(uset), ns)
+                if sc > score + 1e-12 and (cand is None or sc > cand[0] + 1e-12):
+                    cand = (sc, "R", w, ne)
+            if cand is not None:
+                score, side, vtx, e = cand
+                if side == "L":
+                    uset.symmetric_difference_update({vtx})
+                    umask ^= 1 << vtx
+                else:
+                    vset.symmetric_difference_update({vtx})
+                    vmask ^= 1 << vtx
+                improved = True
+        if score > best[0]:
+            best = (score, frozenset(uset), frozenset(vset))
+
+    if best[0] > gamma:
+        return JumbleCertificate(
+            method="search",
+            p=p,
+            gamma=best[0],
+            witness=(VertexSet.of(best[1]), VertexSet.of(best[2])),
+            sound_upper=False,
+        )
+    return None

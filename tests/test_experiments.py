@@ -44,6 +44,10 @@ def test_plan_validation():
         ExperimentPlan("one_sided", 5, 5, 5, 1.5, 0.5, 0.3, seed=1)
     plan = ExperimentPlan("one_sided", 5, 5, 5, 0.5, 0.5, 0.3, seed=1)
     assert plan.trials == 12
+    with pytest.raises(ParameterError, match="unknown lemma 'three_sided'"):
+        ExperimentPlan("three_sided", 5, 5, 5, 0.5, 0.5, 0.3, seed=1)
+    with pytest.raises(ParameterError, match="unknown method 'annealed'"):
+        ExperimentPlan("two_sided", 5, 5, 5, 0.5, 0.5, 0.3, seed=1, method="annealed")
 
 
 def test_plan_rejects_unused_keys():
@@ -52,6 +56,14 @@ def test_plan_rejects_unused_keys():
     for extra in ("repetitions = 5", "delta = 0.2", "slack.c4 = 0.1"):
         with pytest.raises(ParameterError, match="unknown key"):
             ExperimentPlan.from_text(text + extra + "\n")
+
+
+def test_plan_unconvertible_value_names_line_key_and_value():
+    text = "lemma = one_sided\nnx = ten\nny = 5\nnz = 5\np = 0.5\nd = 0.5\neps_prime = 0.3\nseed = 1\n"
+    with pytest.raises(ParameterError, match="plan line 2: nx = 'ten' is not a valid int"):
+        ExperimentPlan.from_text(text)
+    with pytest.raises(ParameterError, match="plan line 5: p = 'half' is not a valid float"):
+        ExperimentPlan.from_text(text.replace("nx = ten", "nx = 5").replace("p = 0.5", "p = half"))
 
 
 def test_gen_tripartite_golden_and_determinism():

@@ -23,6 +23,7 @@ from bijumble.jumbled import (
     spectral_jumble_bound,
 )
 from conftest import bipartite_from_mask, random_pair
+import reference
 from reference import naive_jumble_gamma
 
 
@@ -204,6 +205,37 @@ def test_search_examples_and_determinism():
     pr = perfect_matching(4)
     cap = math.sqrt(16)
     assert search_jumble_violation(pr, 0.5, cap, trials=25, seed=2) is None
+
+
+def _symmetric_pair(rnd, n, q):
+    """Pair on left 0..n-1, right n..2n-1 with a symmetric biadjacency, so
+    toggling u_i and w_i ties and the left-before-right order decides."""
+    edges = {e for u in range(n) for w in range(u, n) if rnd.random() < q for e in ((u, n + w), (w, n + u))}
+    return pair_on(Graph.from_edges(2 * n, sorted(edges)), range(n), range(n, 2 * n))
+
+
+def test_search_matches_two_loop_reference(rnd):
+    found = 0
+    for i in range(64):
+        q = rnd.choice((0.2, 0.5, 0.8))
+        if i % 2:
+            pr = _symmetric_pair(rnd, rnd.randint(2, 6), q)
+        else:
+            pr = random_pair(rnd, rnd.randint(1, 7), rnd.randint(1, 7), q)
+        p = rnd.choice((0.25, 0.5, 0.7))
+        gamma = rnd.choice((0.0, 0.4, 1.0, 5.0))
+        trials = rnd.choice((1, 4, 12))
+        got = search_jumble_violation(pr, p, gamma, trials, seed=i)
+        assert got == reference.search_jumble_violation(pr, p, gamma, trials, seed=i)
+        found += got is not None
+    assert 10 < found < 64  # both outcomes are exercised
+    # a float near-tie between toggles, where only the 1e-12 rule keeps the
+    # earlier candidate
+    near_tie = pair_on(Graph.from_edges(12, [(0, 11), (2, 9), (3, 8), (3, 10), (4, 9), (5, 6)]),
+                       range(6), range(6, 12))
+    got = search_jumble_violation(near_tie, 0.6, 0.0, 1, seed=2839)
+    assert got == reference.search_jumble_violation(near_tie, 0.6, 0.0, 1, seed=2839)
+    assert got.gamma == 2.5999999999999996 and got.witness[0].indices == (0, 1, 2, 3, 4, 5)
 
 
 def test_degree_outlier_census():

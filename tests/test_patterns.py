@@ -1,5 +1,6 @@
 import itertools
 import random
+import warnings
 
 import pytest
 
@@ -7,6 +8,7 @@ from bijumble.errors import CapacityError, ParameterError
 from bijumble.graphs import Graph, complete_graph, cycle_graph, path_graph, triangle_book
 from bijumble.patterns import (
     MilliValue,
+    _heuristic_orders,
     Pattern,
     line_graph_two_sided_exponent,
     d_tilde,
@@ -20,6 +22,8 @@ from bijumble.patterns import (
     parse_pattern,
     two_sided_exponent,
 )
+
+import reference
 
 K2 = Graph.from_edges(2, [(0, 1)])
 K3 = complete_graph(3)
@@ -263,3 +267,82 @@ def test_pattern_file_round_trip():
     assert ident.sequence == (0, 1, 2)
     with pytest.raises(ParameterError):
         Pattern(path_graph(3), (0, 1, 1))
+
+
+# -- the per-vertex kernel and the one order search against the replaced code --
+
+def _random_graph(rnd, n, q=0.5):
+    return Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rnd.random() < q])
+
+
+def _small_patterns():
+    """Every order of every graph on up to 4 vertices, every graph on 5 in
+    the identity order (relabelling realises each order), seeded random
+    graphs on 6-8 vertices in random orders, and the 0-vertex pattern."""
+    yield Pattern.identity(Graph.empty(0))
+    for n in (1, 2, 3, 4):
+        for g in all_graphs(n):
+            for seq in itertools.permutations(range(n)):
+                yield Pattern(g, seq)
+    for g in all_graphs(5):
+        yield Pattern.identity(g)
+    rnd = random.Random(41)
+    for _ in range(60):
+        n = rnd.randint(6, 8)
+        yield Pattern(_random_graph(rnd, n, rnd.choice((0.3, 0.5, 0.7))), tuple(rnd.sample(range(n), n)))
+
+
+def test_exponents_match_reference():
+    for pat in _small_patterns():
+        padj = reference.position_adjacency(pat)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert k_reg(pat).mills == reference._kreg_mills(padj)
+        assert d_tilde(pat) == reference._dtilde_value(padj)
+        assert two_sided_exponent(pat).mills == max(
+            reference._kreg_mills(padj), 500 + 500 * reference._dtilde_value(padj)
+        )
+        assert exponent_report(pat) == reference.exponent_report(pat)
+
+
+def test_degeneracy_and_heuristic_orders_match_reference():
+    graphs = [Graph.empty(0), *(g for n in range(1, 6) for g in all_graphs(n))]
+    rnd = random.Random(42)
+    graphs += [_random_graph(rnd, rnd.randint(6, 12)) for _ in range(40)]
+    for g in graphs:
+        assert degeneracy(g) == reference.degeneracy(g)
+        assert _heuristic_orders(g) == reference._heuristic_orders(g)
+
+
+def _reference_optimize(graph, objective, strategy):
+    search = {
+        "exhaustive": reference._optimize_exhaustive,
+        "branch_and_bound": reference._optimize_branch_and_bound,
+        "heuristic": reference._optimize_heuristic,
+    }[strategy]
+    _, seq = search(graph, objective)
+    return seq, reference.exponent_report(Pattern(graph, seq))
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "branch_and_bound", "heuristic"])
+def test_optimize_order_matches_reference(strategy):
+    graphs = [Graph.empty(0), Graph.empty(4), *(g for n in range(1, 6) for g in all_graphs(n))]
+    rnd = random.Random(43)
+    graphs += [_random_graph(rnd, n, q) for n in (6, 7) for q in (0.3, 0.5, 0.7)]
+    graphs += [_random_graph(rnd, 8, 0.5), cycle_graph(6), path_graph(5)]
+    if strategy != "exhaustive":
+        graphs += [_random_graph(rnd, n, 0.4) for n in (9, 10, 11)]
+    for g in graphs:
+        for objective in ("one_sided", "two_sided"):
+            assert optimize_order(g, objective, strategy) == _reference_optimize(g, objective, strategy)
+
+
+def test_optimize_order_capacity_messages():
+    with pytest.raises(CapacityError, match="exhaustive strategy limited to 9 vertices, got 10"):
+        optimize_order(Graph.empty(10), "two_sided", "exhaustive")
+    with pytest.raises(CapacityError, match="branch_and_bound strategy limited to 12 vertices, got 13"):
+        optimize_order(Graph.empty(13), "one_sided", "branch_and_bound")
+    with pytest.raises(ParameterError, match="unknown objective"):
+        optimize_order(Graph.empty(13), "three_sided", "exhaustive")
+    seq, _ = optimize_order(triangle_book(6), "two_sided", "heuristic")  # no capacity
+    assert seq == _reference_optimize(triangle_book(6), "two_sided", "heuristic")[0]

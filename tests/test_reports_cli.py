@@ -277,6 +277,32 @@ def test_cli_malformed_config_value_is_a_usage_error(tmp_path, capsys):
     assert code == 2 and "config line 2" in err and "'two'" in err
 
 
+def test_cli_bad_plan_values_are_usage_errors(tmp_path, capsys):
+    base = "lemma = one_sided\nnx = 6\nny = 6\nnz = 6\np = 0.4\nd = 0.9\neps_prime = 0.3\nseed = 1\n"
+    plan = tmp_path / "bad.plan"
+    for old, new, message in (
+        ("nx = 6", "nx = ten", "plan line 2: nx = 'ten'"),
+        ("lemma = one_sided", "lemma = three_sided", "unknown lemma 'three_sided'"),
+        ("seed = 1", "seed = 1\nmethod = annealed", "unknown method 'annealed'"),
+    ):
+        plan.write_text(base.replace(old, new))
+        code = run_cli(["inherit", "--plan", str(plan), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2 and message in err
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_cli_workers_below_one_is_a_usage_error(tmp_path, capsys):
+    flags = ["inherit", "--lemma", "one_sided", "--nx", "6", "--ny", "6", "--nz", "6",
+             "--p", "0.4", "--d", "0.9", "--eps-prime", "0.3", "--trials", "2", "--seed", "1",
+             "--out", str(tmp_path)]
+    for workers in ("0", "-3"):
+        code = run_cli(flags + ["--workers", workers])
+        err = capsys.readouterr().err
+        assert code == 2 and f"workers {workers} must be >= 1" in err
+    assert not list(tmp_path.glob("*.json"))
+
+
 def test_python_m_cli_runs_the_command():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
