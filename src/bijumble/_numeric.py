@@ -11,19 +11,19 @@ REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
 
-def slack(a: float, b: float, rel: float = REL_TOL, abs_: float = ABS_TOL) -> float:
-    return max(abs_, rel * max(abs(a), abs(b)))
+def slack(a: float, b: float) -> float:
+    return max(ABS_TOL, REL_TOL * max(abs(a), abs(b)))
 
 
-def geq(a: float, b: float, rel: float = REL_TOL, abs_: float = ABS_TOL) -> bool:
+def geq(a: float, b: float) -> bool:
     """a >= b up to tolerance."""
-    return a >= b - slack(a, b, rel, abs_)
+    return a >= b - slack(a, b)
 
 
-def leq(a: float, b: float, rel: float = REL_TOL, abs_: float = ABS_TOL) -> bool:
+def leq(a: float, b: float) -> bool:
     """a <= b up to tolerance."""
-    return a <= b + slack(a, b, rel, abs_)
+    return a <= b + slack(a, b)
 
 
-def within(x: float, lo: float, hi: float, rel: float = REL_TOL, abs_: float = ABS_TOL) -> bool:
-    return geq(x, lo, rel, abs_) and leq(x, hi, rel, abs_)
+def within(x: float, lo: float, hi: float) -> bool:
+    return geq(x, lo) and leq(x, hi)

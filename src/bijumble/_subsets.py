@@ -3,7 +3,9 @@
 Both enumerate the subsets S of the smaller side and, for each S, only the
 top and bottom prefixes T of the other side sorted by degree into S: at a
 fixed |T| those maximise and minimise e(S,T), and both discrepancies are
-monotone in e(S,T) at fixed sizes.  ``scan`` does this for many S at once:
+monotone in e(S,T) at fixed sizes.  ``scan`` does this for many S at once
+on a 0/1 block whose rows are the enumerated side, as the callers cut it
+with ``graphs.pair_block``, with labels for the rows and columns:
 
 * Meet in the middle: S's degree vector is the sum of a row of a table over
   the subsets of the low half of the side and a row of one over the high half.
@@ -29,8 +31,6 @@ import math
 
 import numpy as np
 
-from .graphs import BipartitePairView
-
 DEFAULT_ENUM_CAP = 1 << 22  # subsets; the classic "side <= 22" resource limit
 TIE = 1e-15
 MARGIN = 1e-9
@@ -47,20 +47,10 @@ def subset_budget(n: int, smallest: int) -> int:
     return sum(math.comb(n, s) for s in range(smallest, n + 1))
 
 
-def regularity_budget(pair: BipartitePairView, epsilon: float) -> int:
-    """Subsets that ``exact_regularity`` enumerates on ``pair`` at ``epsilon``."""
-    n = min(len(pair.left), len(pair.right))
+def regularity_budget(shape: tuple[int, int], epsilon: float) -> int:
+    """Subsets that exact regularity enumerates on a pair of ``shape`` at ``epsilon``."""
+    n = min(shape)
     return subset_budget(n, min_size(epsilon, n))
-
-
-def _block(view: BipartitePairView) -> np.ndarray:
-    """0/1 biadjacency of the view (left rows, right columns) from its bit rows."""
-    other = view.right.indices
-    base, width = other[0], other[-1] - other[0] + 1
-    nbytes, keep = (width + 7) // 8, (1 << width) - 1
-    raw = b"".join(((view.graph.rows[v] >> base) & keep).to_bytes(nbytes, "little") for v in view.left)
-    raw = np.frombuffer(raw, np.uint8).reshape(len(view.left), nbytes)
-    return np.unpackbits(raw, axis=1, bitorder="little")[:, np.array(other) - base]
 
 
 def _table(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -73,19 +63,18 @@ def _table(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return degrees, sizes
 
 
-def scan(view: BipartitePairView, smallest: int, score, keep_all: bool = False):
-    """Replay the tie rule over the candidates of every left subset S of at
-    least ``smallest`` vertices; returns (value, S, T, e(S,T)) of the winner.
+def scan(block: np.ndarray, left, right, smallest: int, score, keep_all: bool = False):
+    """Replay the tie rule over the candidates of every row subset S of at
+    least ``smallest`` rows of ``block``; returns (value, S, T, e(S,T)) of
+    the winner, S and T labelled by ``left`` and ``right``.
 
     ``score(sizes, top, bot)`` gets one chunk's subset sizes and float top
     and bottom prefix sums (column t-1 for |T| = t) and returns (value, |T|,
     take_top), each with a row per subset and a column per candidate slot in
     replay order; an unused slot has value -inf.
     """
-    left, right = view.left.indices, view.right.indices
     margin = math.inf if keep_all else MARGIN
     low_bits = (len(left) + 1) // 2
-    block = _block(view)
     low, low_size = _table(block[:low_bits])
     high, high_size = _table(block[low_bits:])
     running, discarded, kept = -math.inf, -math.inf, []
@@ -108,7 +97,7 @@ def scan(view: BipartitePairView, smallest: int, score, keep_all: bool = False):
     near = value >= running - margin
     discarded = max(discarded, float(value[~near].max(initial=-math.inf)))
     if value[near].min() - discarded <= TIE:
-        return scan(view, smallest, score, keep_all=True)
+        return scan(block, left, right, smallest, score, keep_all=True)
 
     candidates = []
     for v, mask, slot, t, take in zip(*(column[near].tolist() for column in (value, *rest))):

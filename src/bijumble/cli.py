@@ -10,6 +10,7 @@ summary; exit codes are 0 = all pass, 1 = any fail, 2 = usage/parse error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -149,14 +150,9 @@ def _cmd_certify(args) -> int:
 
 def _cmd_regularity(args) -> int:
     pair = _pair_from_args(args)
+    verdict = regularity._verdict(pair, args.epsilon, args.p, args.method, args.trials, args.seed)
     if args.d is not None:
-        verdict = regularity.check_eps_d_p(
-            pair, args.epsilon, args.d, args.p, method=args.method, trials=args.trials, seed=args.seed
-        )
-    elif args.method == "exact":
-        verdict = regularity.exact_regularity(pair, args.epsilon, args.p)
-    else:
-        verdict = regularity.sampled_regularity(pair, args.epsilon, args.p, args.trials, args.seed)
+        verdict = regularity.apply_density_floor(verdict, args.d)
     print(
         f"method={verdict.method} regular={verdict.regular} deviation={verdict.deviation:.12g} "
         f"base_p_density={verdict.base_p_density:.12g}"
@@ -358,10 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_out(p):
+    def add_out(p, mode=True):
         p.add_argument("--out", default=None, help="report output directory")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--mode", choices=("strict", "relaxed"), default="relaxed")
+        if mode:
+            p.add_argument("--mode", choices=("strict", "relaxed"), default="relaxed")
         p.add_argument(
             "--config",
             default=None,
@@ -415,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--side", choices=("lower", "two_sided"), default="two_sided")
-    add_out(p)
+    add_out(p, mode=False)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("suffix", help="suffix-pattern count and bound audit")
@@ -496,8 +493,8 @@ def _apply_config(args):
         args.seed = cfg.seed if cfg else 0
     if getattr(args, "seed", 0) < 0:
         raise ParameterError(f"seed {args.seed} must be non-negative")
-    if getattr(args, "out", "absent") is None and cfg:
-        args.out = cfg.out_dir
+    if getattr(args, "out", "absent") is None:
+        args.out = os.environ.get(ENV_OUT_DIR) or (cfg.out_dir if cfg else None)
     if getattr(args, "workers", "absent") is None:
         args.workers = cfg.workers if cfg else 1
     if getattr(args, "workers", 1) < 1:

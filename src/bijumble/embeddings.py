@@ -130,15 +130,10 @@ def counting_window_audit(
     p: float,
     gamma: float,
     side: str = "two_sided",
-    evidence: Sequence[HypothesisRecord] = (),
-    mode: str = "relaxed",
     seed: int = 0,
 ) -> AuditReport:
-    """Compare the exact count against the counting-lemma floor or window.
-
-    ``evidence`` carries the caller's regularity / bijumbledness records and
-    is embedded verbatim in the report.
-    """
+    """Compare the exact count against the counting-lemma floor or window,
+    in relaxed mode and without hypothesis records."""
     started = time.perf_counter()
     if side not in ("lower", "two_sided"):
         raise ParameterError(f"unknown side {side!r}")
@@ -160,8 +155,8 @@ def counting_window_audit(
         margin = min(count - lo, hi - count)
     return make_report(
         "counting_window_" + ("one_sided" if side == "lower" else "two_sided"),
-        mode,
-        list(evidence),
+        "relaxed",
+        [],
         ok,
         measured=count,
         bound=bound,
@@ -281,9 +276,7 @@ class OptialphaResult:
     p_hypothesis_met: bool
 
 
-def optialpha_check(
-    p: float, b: Sequence[int], cap: int = OPTIALPHA_CAP
-) -> OptialphaResult:
+def optialpha_check(p: float, b: Sequence[int]) -> OptialphaResult:
     """Exactly evaluate the alpha-vector sum and compare with (50q)^q p^(1-C).
 
     A = [0,P]^q minus the zero vector with P = floor(log2(1/p)); each term is
@@ -301,8 +294,10 @@ def optialpha_check(
     if any(b[i] < b[i + 1] for i in range(q - 1)):
         raise ParameterError("b must be sorted nonincreasing")
     cap_p = int(math.floor(math.log2(1.0 / p) + 1e-9))
-    if (cap_p + 1) ** q > cap:
-        raise CapacityError(f"optialpha enumeration ({(cap_p + 1) ** q} vectors) exceeds capacity {cap}")
+    if (cap_p + 1) ** q > OPTIALPHA_CAP:
+        raise CapacityError(
+            f"optialpha enumeration ({(cap_p + 1) ** q} vectors) exceeds capacity {OPTIALPHA_CAP}"
+        )
     c_exp = max(bi + i for i, bi in enumerate(b, start=1))
     total = 0.0
     for alpha in itertools.product(range(cap_p + 1), repeat=q):

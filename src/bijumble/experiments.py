@@ -10,13 +10,12 @@ desk-scale instance, so experiments run in relaxed mode with declared
 pilot-calibrated parameters, and strict mode exists to document the
 vacuity honestly.
 
-With the sampled method an experiment cuts three 0/1 blocks once: the
-host's X x Y and X x Z and G's Y x Z.  Each x then reads its neighbour
-positions from its host rows, takes those rows of the Y x Z block (and,
-two-sided, those columns), and runs ``sampled_block_regularity`` on the
+An experiment cuts three 0/1 blocks once: the host's X x Y and X x Z and
+G's Y x Z.  Each x then reads its neighbour positions from its host rows,
+takes those rows of the Y x Z block (and, two-sided, those columns), and
+runs ``exact_block_regularity`` or ``sampled_block_regularity`` on the
 result with the density floor of ``check_eps_d_p``; the verdicts equal
-``check_eps_d_p`` on the per-x pair views, which the exact method still
-builds.
+``check_eps_d_p`` on the per-x pair views.
 
 Everything is seeded; rerunning a plan with the same seed and any worker
 count reproduces outcomes exactly (per-x work is partitioned over disjoint
@@ -48,9 +47,9 @@ from .graphs import (
 from .jumbled import min_size_bound, spectral_jumble_bound
 from .quads import _regularity_refutation, codegrees
 from .regularity import (
-    DEFAULT_ENUM_CAP,
     apply_density_floor,
     check_eps_d_p,
+    exact_block_regularity,
     sampled_block_regularity,
 )
 from .reports import AuditReport, HypothesisRecord, make_report, parse_key_values
@@ -79,9 +78,11 @@ class ExperimentPlan:
             raise ParameterError(f"unknown method {self.method!r}")
         if min(self.nx, self.ny, self.nz) < 1:
             raise ParameterError("part sizes must be positive")
-        for name, prob in (("p", self.p), ("d", self.d), ("eps_prime", self.eps_prime)):
-            if not 0 < prob < 1:
+        for name, prob in (("p", self.p), ("d", self.d), ("eps_prime", self.eps_prime), ("eps", self.eps)):
+            if prob is not None and not 0 < prob < 1:
                 raise ParameterError(f"{name} must lie in (0,1)")
+        if self.trials < 1:
+            raise ParameterError("trials must be >= 1")
         if self.seed is None:
             raise ParameterError("a seed is mandatory")
         if self.seed < 0:
@@ -317,7 +318,6 @@ def _run_inheritance(
     seed: int,
     eps: float | None,
     workers: int,
-    max_subsets: int,
 ) -> InheritanceOutcome:
     if method not in ("exact", "sampled"):
         raise ParameterError(f"unknown method {method!r}")
@@ -326,14 +326,7 @@ def _run_inheritance(
     x_part, y_part, z_part = system.x, system.y, system.z
 
     yz_verdict = check_eps_d_p(
-        system.pair("Y", "Z"),
-        eps_hyp,
-        d,
-        p,
-        method=method,
-        trials=trials,
-        seed=seed,
-        max_subsets=max_subsets,
+        system.pair("Y", "Z"), eps_hyp, d, p, method=method, trials=trials, seed=seed
     )
     evidence = [
         HypothesisRecord(
@@ -358,16 +351,11 @@ def _run_inheritance(
     z_idx = np.array(z_part.indices, dtype=np.int64)
     host_xy = pair_block(system.pair("X", "Y", "host"))
     host_xz = None if one_sided else pair_block(system.pair("X", "Z", "host"))
-    if method == "sampled":
-        yz = pair_block(system.pair("Y", "Z"))
-        yz_degrees = yz.sum(axis=1, dtype=np.int64)
+    yz = pair_block(system.pair("Y", "Z"))
+    yz_degrees = yz.sum(axis=1, dtype=np.int64)
 
     def verdict_at(x: int, ypos: np.ndarray, zpos: np.ndarray | None):
         """The (eps',d,p) verdict of x's derived pair in G."""
-        if method == "exact":
-            right = z_part if one_sided else VertexSet.of(z_idx[zpos].tolist())
-            derived = BipartitePairView(system.sub, VertexSet.of(y_idx[ypos].tolist()), right)
-            return check_eps_d_p(derived, eps_prime, d, p, method="exact", max_subsets=max_subsets)
         block = yz[ypos]
         if one_sided:
             edges, right = int(yz_degrees[ypos].sum()), z_idx
@@ -375,9 +363,12 @@ def _run_inheritance(
             block = block.take(zpos, axis=1)
             edges, right = int(np.count_nonzero(block)), z_idx[zpos]
         base = float(Fraction(edges, block.size)) / p  # as graphs.p_density
-        verdict = sampled_block_regularity(
-            block, base, y_idx[ypos], right, eps_prime, p, trials, _child_seed(seed, x)
-        )
+        if method == "exact":
+            verdict = exact_block_regularity(block, base, y_idx[ypos], right, eps_prime, p)
+        else:
+            verdict = sampled_block_regularity(
+                block, base, y_idx[ypos], right, eps_prime, p, trials, _child_seed(seed, x)
+            )
         return apply_density_floor(verdict, d)
 
     def eval_range(rng_: range) -> list[PerVertexVerdict]:
@@ -436,12 +427,9 @@ def one_sided_experiment(
     seed: int = 0,
     eps: float | None = None,
     workers: int = 1,
-    max_subsets: int = DEFAULT_ENUM_CAP,
 ) -> InheritanceOutcome:
     """For every x in X test (N_host(x) in Y, Z) for (eps',d,p)-regularity in G."""
-    return _run_inheritance(
-        system, "one_sided", eps_prime, d, p, method, trials, seed, eps, workers, max_subsets
-    )
+    return _run_inheritance(system, "one_sided", eps_prime, d, p, method, trials, seed, eps, workers)
 
 
 def two_sided_experiment(
@@ -454,12 +442,9 @@ def two_sided_experiment(
     seed: int = 0,
     eps: float | None = None,
     workers: int = 1,
-    max_subsets: int = DEFAULT_ENUM_CAP,
 ) -> InheritanceOutcome:
     """As one-sided, with derived pair (N_host(x) in Y, N_host(x) in Z)."""
-    return _run_inheritance(
-        system, "two_sided", eps_prime, d, p, method, trials, seed, eps, workers, max_subsets
-    )
+    return _run_inheritance(system, "two_sided", eps_prime, d, p, method, trials, seed, eps, workers)
 
 
 # -- bad-pair bounds -----------------------------------------------------------
@@ -472,12 +457,10 @@ def bad_pair_bounds_audit(
     eps: float,
     direction: str,
     p: float,
-    c_prime: float | None = None,
     mode: str = "strict",
     relaxed_coeff: float | None = None,
     trials: int = 200,
     seed: int = 0,
-    max_subsets: int = DEFAULT_ENUM_CAP,
 ) -> AuditReport:
     """Audit the many-bad-pairs lower bound or the few-bad-pairs upper bound.
 
@@ -503,19 +486,11 @@ def bad_pair_bounds_audit(
             (host_rows[y] & zs.mask).bit_count() <= 2 * p * len(zs) + 1e-9 for y in ys
         )
         dens = yz_g.edge_count() / (len(ys) * len(zs))
-        refuted, certified, reg_verdict = _regularity_refutation(
-            yz_g, eps_star, p, trials, seed, max_subsets
-        )
+        refuted, certified, reg_verdict = _regularity_refutation(yz_g, eps_star, p, trials, seed)
         cond_irregular = dens >= (d - eps) * p - 1e-12 and refuted
         cond_dense = dens >= (d + eps_star) * p - 1e-12
         cert_yz = spectral_jumble_bound(system.pair("Y", "Z", "host"), p)
-        c_meas = (
-            c_prime
-            if c_prime is not None
-            else cert_yz.gamma
-            * math.sqrt(math.log2(1.0 / p))
-            / (p**1.5 * math.sqrt(len(ys) * len(zs)))
-        )
+        c_meas = cert_yz.gamma * math.sqrt(math.log2(1.0 / p)) / (p**1.5 * math.sqrt(len(ys) * len(zs)))
         hyps = [
             HypothesisRecord("eps_star_range", eps_star <= 1e-3, True, {"eps_star": eps_star}),
             HypothesisRecord("delta_budget", delta <= eps_star**9 / 10, True, {"delta": delta}),
@@ -582,9 +557,7 @@ def bad_pair_bounds_audit(
         abs((host_rows[y] & xs_.mask).bit_count() - p * len(xs_)) <= eps * p * len(xs_) + 1e-9
         for y in ys
     )
-    reg = check_eps_d_p(
-        yz_g, eps, d, p, method="sampled", trials=trials, seed=seed, max_subsets=max_subsets
-    )
+    reg = check_eps_d_p(yz_g, eps, d, p, method="sampled", trials=trials, seed=seed)
     hyps = [
         HypothesisRecord(
             "constants_budget",

@@ -69,9 +69,7 @@ def _discrepancy(e: int, p: float, s: int, t: int) -> float:
     return abs(e - p * s * t) / math.sqrt(s * t)
 
 
-def exact_jumble_gamma(
-    pair: BipartitePairView, p: float, max_subsets: int = DEFAULT_ENUM_CAP
-) -> JumbleCertificate:
+def exact_jumble_gamma(pair: BipartitePairView, p: float) -> JumbleCertificate:
     """Optimal gamma with an attaining witness.
 
     Enumerates every nonempty subset of the smaller side with the shared
@@ -86,9 +84,9 @@ def exact_jumble_gamma(
     swap = len(pair.left) > len(pair.right)
     view = pair.swapped() if swap else pair
     n = len(view.left)
-    if subset_budget(n, 1) > max_subsets:
+    if subset_budget(n, 1) > DEFAULT_ENUM_CAP:
         raise CapacityError(
-            f"exact enumeration of a {n}-vertex side exceeds the {max_subsets}-subset capacity"
+            f"exact enumeration of a {n}-vertex side exceeds the {DEFAULT_ENUM_CAP}-subset capacity"
         )
     t = np.arange(1, len(view.right) + 1)
 
@@ -105,7 +103,7 @@ def exact_jumble_gamma(
         length = np.stack((np.where(hi_first, t_hi, t_lo), t_lo), axis=1) + 1
         return value, length, np.stack((hi_first, np.zeros_like(hi_first)), axis=1)
 
-    gamma, combo, chosen, _ = scan(view, 1, score)
+    gamma, combo, chosen, _ = scan(pair_block(view), view.left.indices, view.right.indices, 1, score)
     witness = (VertexSet.of(combo), VertexSet.of(chosen))
     witness = witness[::-1] if swap else witness
     return JumbleCertificate(

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 
 from .errors import CapacityError, ParameterError
-from .graphs import Graph, VertexSet, iter_bits
+from .graphs import Graph, iter_bits
 
 EXHAUSTIVE_LIMIT = 9
 BRANCH_AND_BOUND_LIMIT = 12
@@ -49,10 +49,6 @@ class MilliValue:
     """An exact value in integer thousandths (2501 means 2.501)."""
 
     mills: int
-
-    @classmethod
-    def of(cls, units: int, mills: int = 0) -> "MilliValue":
-        return cls(units * 1000 + mills)
 
     def __float__(self) -> float:
         return self.mills / 1000.0
@@ -85,9 +81,6 @@ class Pattern:
     def identity(cls, graph: Graph) -> "Pattern":
         return cls(graph, tuple(range(graph.vertex_count)))
 
-    def position(self, v: int) -> int:
-        return self.sequence.index(v) + 1
-
 
 @dataclass(frozen=True)
 class ExponentReport:
@@ -99,17 +92,6 @@ class ExponentReport:
     degeneracy: int
     line_graph_two_sided: MilliValue | None
     order: tuple[int, ...]
-
-
-def neighborhood_split(pattern: Pattern, v: int, u: int):
-    """(N+(v), N-(v), N^{<u}(v)) with respect to the pattern's order."""
-    pos = {w: i for i, w in enumerate(pattern.sequence)}
-    pv, pu = pos[v], pos[u]
-    nbrs = list(iter_bits(pattern.graph.rows[v]))
-    forward = VertexSet.of(w for w in nbrs if pos[w] > pv)
-    backward = VertexSet.of(w for w in nbrs if pos[w] < pv)
-    before_u = VertexSet.of(w for w in nbrs if pos[w] < pu)
-    return forward, backward, before_u
 
 
 def _terms(rows: list[int], v: int, before: int) -> tuple[int, int]:

@@ -29,10 +29,10 @@ from typing import Sequence
 import numpy as np
 
 from ._numeric import geq, within
-from ._subsets import regularity_budget
-from .errors import CapacityError, ParameterError
+from .errors import ParameterError
 from .graphs import BipartitePairView, Graph, VertexSet, density, pair_block
-from .regularity import DEFAULT_ENUM_CAP, exact_regularity, sampled_regularity
+from .regularity import _auto_method, _verdict, apply_density_floor
+from .regularity import exact_regularity, sampled_regularity  # noqa: F401  perfbench/spans.py wraps these
 from .reports import AuditReport, HypothesisRecord, make_report
 
 
@@ -180,14 +180,12 @@ def cs_defect_check(values: Sequence[float], a: float, delta: float, mu: float) 
     )
 
 
-def _regularity_refutation(pair, eps, p, trials, seed, max_subsets):
+def _regularity_refutation(pair, eps, p, trials, seed):
     """(refuted, certified, verdict): a found witness refutes soundly even
     when sampled; only a 'regular' answer needs the exact method to certify."""
-    if regularity_budget(pair, eps) <= max_subsets:
-        verdict = exact_regularity(pair, eps, p, max_subsets=max_subsets)
-        return (not verdict.regular), True, verdict
-    verdict = sampled_regularity(pair, eps, p, trials=trials, seed=seed)
-    return (not verdict.regular), (not verdict.regular), verdict
+    verdict = _verdict(pair, eps, p, _auto_method(pair, eps), trials, seed)
+    refuted = not verdict.regular
+    return refuted, refuted or verdict.method == "exact", verdict
 
 
 def c4_dense_irregular_audit(
@@ -198,7 +196,6 @@ def c4_dense_irregular_audit(
     irregular_slack: float = 0.0,
     trials: int = 200,
     seed: int = 0,
-    max_subsets: int = DEFAULT_ENUM_CAP,
 ) -> AuditReport:
     """Audit the C4 lower bounds for dense pairs and for irregular pairs.
 
@@ -235,12 +232,7 @@ def c4_dense_irregular_audit(
     refuted = certified = False
     reg_verdict = None
     if q > 0:
-        try:
-            refuted, certified, reg_verdict = _regularity_refutation(
-                pair, eps, q, trials, seed, max_subsets
-            )
-        except CapacityError:
-            pass
+        refuted, certified, reg_verdict = _regularity_refutation(pair, eps, q, trials, seed)
 
     if mode == "strict":
         slack_a = eps**8
@@ -299,11 +291,9 @@ def c4_regular_bijumbled_audit(
     d: float,
     p: float,
     c: float | None = None,
-    regularity_method: str = "auto",
     trials: int = 200,
     seed: int = 0,
     mode: str = "strict",
-    max_subsets: int = DEFAULT_ENUM_CAP,
 ) -> AuditReport:
     """Audit C4(G) against (d^4 +- 100 (c+eps)^(1/2)) p^4 |U|^2 |V|^2 / 4.
 
@@ -326,13 +316,7 @@ def c4_regular_bijumbled_audit(
         "bijumbled_cp2", True, c_certified, {"c": c, "exponent": 2.0}
     )
 
-    if regularity_method == "auto":
-        regularity_method = "exact" if regularity_budget(pair, eps) <= max_subsets else "sampled"
-    from .regularity import check_eps_d_p
-
-    verdict = check_eps_d_p(
-        pair, eps, d, p, method=regularity_method, trials=trials, seed=seed, max_subsets=max_subsets
-    )
+    verdict = apply_density_floor(_verdict(pair, eps, p, _auto_method(pair, eps), trials, seed), d)
     hyp_reg = HypothesisRecord(
         "eps_d_p_regular",
         verdict.regular,

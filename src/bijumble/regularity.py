@@ -7,7 +7,9 @@ size thresholds use ceil(eps * side), matching the ">=" in the definition.
 
 The exact decision is the subset enumeration of ``bijumble._subsets``; no
 shortcut assuming deviation monotonicity in |U'| is taken (it is not
-monotone).  The sampled decision draws seeded uniform subsets plus, per
+monotone).  ``exact_block_regularity`` runs it on a block its caller has
+already cut, and ``exact_regularity`` cuts the block of a pair view and
+calls it.  The sampled decision draws seeded uniform subsets plus, per
 trial, the degree-sorted prefix refinement against the drawn U'; a sampled
 "regular" verdict only means no violation was found, while a sampled
 witness is a sound refutation.
@@ -22,6 +24,10 @@ both ends.  Candidates are compared in the order of a per-trial loop
 and only the winning trial's witness is built.  ``sampled_block_regularity``
 is that search on a block its caller has already cut, and
 ``sampled_regularity`` cuts the block of a pair view and calls it.
+
+``_verdict`` dispatches to the exact or the sampled method, and
+``_auto_method`` picks exact when the subset budget fits
+``DEFAULT_ENUM_CAP`` and sampled otherwise.
 """
 
 from __future__ import annotations
@@ -82,22 +88,34 @@ def _validate_shape(shape: tuple[int, int], epsilon: float, p: float):
         raise ParameterError("both sides must be nonempty")
 
 
-def exact_regularity(
-    pair: BipartitePairView, epsilon: float, p: float, max_subsets: int = DEFAULT_ENUM_CAP
-) -> RegularityVerdict:
-    """Certified verdict with the maximum-deviation witness."""
-    _validate(pair, epsilon, p)
-    base = p_density(pair, p)
-    budget = regularity_budget(pair, epsilon)
-    swap = len(pair.left) > len(pair.right)
-    view = pair.swapped() if swap else pair
-    if budget > max_subsets:
+def _require_budget(shape: tuple[int, int], epsilon: float):
+    budget = regularity_budget(shape, epsilon)
+    if budget > DEFAULT_ENUM_CAP:
         raise CapacityError(
-            f"exact regularity would enumerate {budget} subsets of a {len(view.left)}-vertex side "
-            f"(capacity {max_subsets})"
+            f"exact regularity would enumerate {budget} subsets of a {min(shape)}-vertex side "
+            f"(capacity {DEFAULT_ENUM_CAP})"
         )
-    tmin = min_size(epsilon, len(view.right))
-    t = np.arange(tmin, len(view.right) + 1)
+
+
+def exact_block_regularity(
+    sub: np.ndarray, base: float, left, right, epsilon: float, p: float
+) -> RegularityVerdict:
+    """``exact_regularity`` on a pair's 0/1 block, given its base
+    p-density; ``left`` and ``right`` label the rows and columns for the
+    witness."""
+    _validate_shape(sub.shape, epsilon, p)
+    _require_budget(sub.shape, epsilon)
+    return _exact_scan(sub, base, left, right, epsilon, p)
+
+
+def _exact_scan(sub: np.ndarray, base: float, left, right, epsilon: float, p: float):
+    """``exact_block_regularity`` without its checks."""
+    left, right = np.asarray(left).tolist(), np.asarray(right).tolist()
+    swap = sub.shape[0] > sub.shape[1]
+    if swap:
+        sub, left, right = sub.T, right, left
+    tmin = min_size(epsilon, len(right))
+    t = np.arange(tmin, len(right) + 1)
 
     def score(sizes, top, bot):
         scale = (p * sizes)[:, None] * t
@@ -107,7 +125,7 @@ def exact_regularity(
         value = dev[np.arange(len(sizes)), first]
         return value[:, None], (tmin + first // 2)[:, None], (first % 2 == 0)[:, None]
 
-    worst, combo, chosen, edges = scan(view, min_size(epsilon, len(view.left)), score)
+    worst, combo, chosen, edges = scan(sub, left, right, min_size(epsilon, len(left)), score)
     dens = edges / (p * len(combo) * len(chosen))
     uset, wset = VertexSet.of(combo), VertexSet.of(chosen)
     regular = leq(worst, epsilon)
@@ -120,6 +138,15 @@ def exact_regularity(
         method="exact",
         worst_witness=(wset, uset, dens) if swap else (uset, wset, dens),
         failure_reason=None if regular else "irregularity witness",
+    )
+
+
+def exact_regularity(pair: BipartitePairView, epsilon: float, p: float) -> RegularityVerdict:
+    """Certified verdict with the maximum-deviation witness."""
+    _validate(pair, epsilon, p)
+    _require_budget((len(pair.left), len(pair.right)), epsilon)
+    return _exact_scan(
+        pair_block(pair), p_density(pair, p), pair.left.indices, pair.right.indices, epsilon, p
     )
 
 
@@ -229,6 +256,24 @@ def apply_density_floor(verdict: RegularityVerdict, d: float) -> RegularityVerdi
     return replace(verdict, d=d)
 
 
+def _auto_method(pair: BipartitePairView, epsilon: float) -> str:
+    """"exact" when the pair's subset budget fits ``DEFAULT_ENUM_CAP``,
+    "sampled" otherwise."""
+    shape = (len(pair.left), len(pair.right))
+    return "exact" if regularity_budget(shape, epsilon) <= DEFAULT_ENUM_CAP else "sampled"
+
+
+def _verdict(
+    pair: BipartitePairView, epsilon: float, p: float, method: str, trials: int, seed: int
+) -> RegularityVerdict:
+    """The regularity verdict by ``method``, "exact" or "sampled"."""
+    if method == "exact":
+        return exact_regularity(pair, epsilon, p)
+    if method == "sampled":
+        return sampled_regularity(pair, epsilon, p, trials=trials, seed=seed)
+    raise ParameterError(f"unknown method {method!r}")
+
+
 def check_eps_d_p(
     pair: BipartitePairView,
     epsilon: float,
@@ -237,16 +282,9 @@ def check_eps_d_p(
     method: str = "exact",
     trials: int = 50,
     seed: int = 0,
-    max_subsets: int = DEFAULT_ENUM_CAP,
 ) -> RegularityVerdict:
     """Regularity verdict plus the density floor d_p(U,W) >= d - eps."""
-    if method == "exact":
-        verdict = exact_regularity(pair, epsilon, p, max_subsets=max_subsets)
-    elif method == "sampled":
-        verdict = sampled_regularity(pair, epsilon, p, trials=trials, seed=seed)
-    else:
-        raise ParameterError(f"unknown method {method!r}")
-    return apply_density_floor(verdict, d)
+    return apply_density_floor(_verdict(pair, epsilon, p, method, trials, seed), d)
 
 
 def slice_and_check(
@@ -259,7 +297,6 @@ def slice_and_check(
     method: str = "exact",
     trials: int = 50,
     seed: int = 0,
-    max_subsets: int = DEFAULT_ENUM_CAP,
 ) -> RegularityVerdict:
     """Audit the slicing conclusion on (u_slice, w_slice).
 
@@ -275,12 +312,7 @@ def slice_and_check(
         raise ParameterError("slice sizes below the gamma fraction precondition")
     base = p_density(pair, p)
     slice_pair = BipartitePairView(pair.graph, u_slice, w_slice)
-    if method == "exact":
-        verdict = exact_regularity(slice_pair, epsilon / gamma, p, max_subsets=max_subsets)
-    elif method == "sampled":
-        verdict = sampled_regularity(slice_pair, epsilon / gamma, p, trials=trials, seed=seed)
-    else:
-        raise ParameterError(f"unknown method {method!r}")
+    verdict = _verdict(slice_pair, epsilon / gamma, p, method, trials, seed)
     density_ok = abs(verdict.base_p_density - base) <= epsilon + ABS_TOL
     ok = verdict.regular and density_ok
     return replace(
@@ -311,18 +343,16 @@ def extend_and_check(
     d: float,
     p: float,
     c: float,
-    jumble_gamma: float | None = None,
     method: str = "exact",
     trials: int = 50,
     seed: int = 0,
-    max_subsets: int = DEFAULT_ENUM_CAP,
 ) -> ExtensionCheck:
     """Audit that growing each side by at most eps^3/10 keeps regularity.
 
     Checks the size-growth hypotheses (raising on violation), verifies the
-    base pair (eps,d,p)-regular, compares the extended pair's bijumbledness
-    parameter against c p sqrt(|U||V|) (measured spectrally when not
-    supplied), then evaluates (2 eps, d, p)-regularity of the extended pair.
+    base pair (eps,d,p)-regular, compares the extended pair's spectrally
+    measured bijumbledness parameter against c p sqrt(|U||V|), then
+    evaluates (2 eps, d, p)-regularity of the extended pair.
     """
     if not 0 < epsilon < 0.1:
         raise ParameterError("epsilon must lie in (0, 1/10)")
@@ -336,13 +366,10 @@ def extend_and_check(
     if len(extended.right) > growth * len(base.right) + 1e-9:
         raise ParameterError("hypothesis violated: |V'| <= (1 + eps^3/10)|V|")
 
-    base_verdict = check_eps_d_p(
-        base, epsilon, d, p, method=method, trials=trials, seed=seed, max_subsets=max_subsets
-    )
-    if jumble_gamma is None:
-        from .jumbled import spectral_jumble_bound
+    base_verdict = check_eps_d_p(base, epsilon, d, p, method=method, trials=trials, seed=seed)
+    from .jumbled import spectral_jumble_bound
 
-        jumble_gamma = spectral_jumble_bound(extended, p).gamma
+    jumble_gamma = spectral_jumble_bound(extended, p).gamma
     gamma_budget = c * p * math.sqrt(len(base.left) * len(base.right))
     jumble_ok = jumble_gamma <= gamma_budget + 1e-12
     details = {
@@ -353,9 +380,7 @@ def extend_and_check(
         "left_growth": len(extended.left) / len(base.left),
         "right_growth": len(extended.right) / len(base.right),
     }
-    conclusion = check_eps_d_p(
-        extended, 2 * epsilon, d, p, method=method, trials=trials, seed=seed, max_subsets=max_subsets
-    )
+    conclusion = check_eps_d_p(extended, 2 * epsilon, d, p, method=method, trials=trials, seed=seed)
     return ExtensionCheck(
         hypotheses_met=base_verdict.regular and jumble_ok,
         hypothesis_details=details,

@@ -112,8 +112,6 @@ def _jsonable(value):
         return _jsonable(value.to_record())
     if isinstance(value, (bool, int, float, str)) or value is None:
         return value
-    if hasattr(value, "mills"):  # MilliValue
-        return str(value)
     return str(value)
 
 

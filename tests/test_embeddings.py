@@ -218,7 +218,7 @@ def test_optialpha_validation():
     with pytest.raises(ParameterError):
         optialpha_check(0.25, [1, -1])
     with pytest.raises(CapacityError):
-        optialpha_check(2.0 ** -40, [1, 1, 1, 1, 1, 1], cap=10**6)
+        optialpha_check(2.0 ** -40, [1, 1, 1, 1, 1, 1])
 
 
 def test_optialpha_exhaustive_sweep_small():

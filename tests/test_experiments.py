@@ -48,6 +48,10 @@ def test_plan_validation():
         ExperimentPlan("three_sided", 5, 5, 5, 0.5, 0.5, 0.3, seed=1)
     with pytest.raises(ParameterError, match="unknown method 'annealed'"):
         ExperimentPlan("two_sided", 5, 5, 5, 0.5, 0.5, 0.3, seed=1, method="annealed")
+    with pytest.raises(ParameterError, match="trials must be >= 1"):
+        ExperimentPlan("one_sided", 5, 5, 5, 0.5, 0.5, 0.3, seed=1, trials=0)
+    with pytest.raises(ParameterError, match="eps must lie in"):
+        ExperimentPlan("one_sided", 5, 5, 5, 0.5, 0.5, 0.3, seed=1, eps=1.5)
 
 
 def test_plan_rejects_unused_keys():
@@ -266,7 +270,7 @@ def test_bad_pairs_strict_mode_honesty():
         assert report.verdict == "hypotheses-not-met"
 
 
-def per_x_view_loop(system, lemma, eps_prime, d, p, trials, seed):
+def per_x_view_loop(system, lemma, method, eps_prime, d, p, trials, seed):
     """The per-x verdicts as a plain loop of ``check_eps_d_p`` over pair
     views of each x's host neighbourhoods."""
     out = []
@@ -278,7 +282,7 @@ def per_x_view_loop(system, lemma, eps_prime, d, p, trials, seed):
             out.append(PerVertexVerdict(x, False, None, "empty neighborhood", len(ny), deg_z))
             continue
         v = check_eps_d_p(BipartitePairView(system.sub, ny, nz), eps_prime, d, p,
-                          method="sampled", trials=trials, seed=_child_seed(seed, x))
+                          method=method, trials=trials, seed=_child_seed(seed, x))
         out.append(PerVertexVerdict(x, v.regular, v.deviation, v.failure_reason, len(ny), deg_z))
     return tuple(out)
 
@@ -295,10 +299,15 @@ def isolate_from(system, x, part):
     return TripartiteSystem(cut(system.host.rows), cut(system.sub.rows), system.x, system.y, system.z)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_cut_path_equals_per_x_view_loop(seed):
+@pytest.mark.parametrize(
+    "seed,method",
+    [pytest.param(seed, "sampled", id=str(seed)) for seed in range(6)]
+    + [pytest.param(seed, "exact", id=f"exact-{seed}") for seed in range(6)],
+)
+def test_cut_path_equals_per_x_view_loop(seed, method):
     rnd = random.Random(seed)
-    nx, ny, nz = rnd.randint(4, 12), rnd.randint(5, 30), rnd.randint(5, 30)
+    side = 30 if method == "sampled" else 12  # exact enumeration stays small
+    nx, ny, nz = rnd.randint(4, 12), rnd.randint(5, side), rnd.randint(5, side)
     p = rnd.choice((0.3, 0.5, 0.7))
     system = sparsify(gen_tripartite(nx, ny, nz, p, seed=seed), rnd.choice((0.5, 0.8)), seed=seed + 1)
     system = isolate_from(system, 0, system.y)  # an empty N(x) in Y
@@ -309,8 +318,8 @@ def test_cut_path_equals_per_x_view_loop(seed):
         for eps_prime, d in ((0.6, 0.3), (0.2, 0.95), (rnd.uniform(0.05, 0.6), rnd.random())):
             trials = rnd.choice((1, 3, 8))
             for workers in (1, 2):
-                got = run(system, eps_prime, d, p, method="sampled", trials=trials, seed=seed,
+                got = run(system, eps_prime, d, p, method=method, trials=trials, seed=seed,
                           workers=workers).per_x
-                assert got == per_x_view_loop(system, lemma, eps_prime, d, p, trials, seed)
+                assert got == per_x_view_loop(system, lemma, method, eps_prime, d, p, trials, seed)
                 reasons |= {v.reason for v in got}
     assert {"empty neighborhood", "density floor", None} <= reasons

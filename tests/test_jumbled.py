@@ -76,7 +76,7 @@ def test_exact_equals_naive_oracle_random_larger(rnd):
 
 def test_exact_capacity_error():
     with pytest.raises(CapacityError):
-        exact_jumble_gamma(complete_bipartite(30, 30), 0.5, max_subsets=1000)
+        exact_jumble_gamma(complete_bipartite(30, 30), 0.5)
 
 
 def test_spectral_examples():

@@ -17,7 +17,6 @@ from bijumble.patterns import (
     format_pattern,
     k_reg,
     line_graph,
-    neighborhood_split,
     optimize_order,
     parse_pattern,
     two_sided_exponent,
@@ -41,21 +40,6 @@ def test_millivalue_formatting_and_order():
     assert str(MilliValue(0)) == "0.000"
     assert MilliValue(2001) < MilliValue(2501)
     assert float(MilliValue(10500)) == 10.5
-
-
-def test_neighborhood_split_examples():
-    tri = Pattern.identity(K3)
-    fwd, bwd, before = neighborhood_split(tri, 1, 1)
-    assert fwd.indices == (2,) and bwd.indices == (0,)
-    _, _, before2 = neighborhood_split(tri, 2, 1)
-    assert before2.indices == (0,)
-    edge = Pattern.identity(K2)
-    fwd, bwd, _ = neighborhood_split(edge, 0, 0)
-    assert fwd.indices == (1,) and bwd.indices == ()
-    p3 = path_graph(3)  # centre is vertex 1
-    star_last = Pattern(p3, (0, 2, 1))  # leaves first, centre last
-    fwd, bwd, _ = neighborhood_split(star_last, 1, 1)
-    assert fwd.indices == () and set(bwd.indices) == {0, 2}
 
 
 def test_k_reg_hand_values():

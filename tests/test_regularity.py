@@ -125,8 +125,11 @@ def test_slice_precondition_errors():
         slice_and_check(kb, VertexSet.of([0]), VertexSet.of(range(8, 12)), 0.2, 0.5, 1.0)
     with pytest.raises(ParameterError):
         slice_and_check(kb, VertexSet.of(range(4)), VertexSet.of(range(8, 12)), 0.6, 0.5, 1.0)
-    with pytest.raises(ParameterError, match="unknown method"):
-        slice_and_check(kb, VertexSet.of(range(4)), VertexSet.of(range(8, 12)), 0.2, 0.5, 1.0, method="bogus")
+    for method in ("bogus", "auto"):
+        with pytest.raises(ParameterError, match="unknown method"):
+            slice_and_check(kb, VertexSet.of(range(4)), VertexSet.of(range(8, 12)), 0.2, 0.5, 1.0, method=method)
+        with pytest.raises(ParameterError, match="unknown method"):
+            check_eps_d_p(kb, 0.2, 0.5, 1.0, method=method)
 
 
 def test_slicing_audit_on_seeded_instances():

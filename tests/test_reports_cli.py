@@ -217,6 +217,22 @@ def test_cli_count_instance(tmp_path, capsys):
     assert code == 0 and "suffix_count=6" in out
 
 
+def test_cli_out_dir_from_env_without_config(tmp_path, monkeypatch):
+    pat = tmp_path / "edge.pat"
+    pat.write_text(format_pattern(Pattern.identity(Graph.from_edges(2, [(0, 1)]))))
+    host = tmp_path / "host.el"
+    host.write_text(format_edge_list(Graph.from_edges(4, [(0, 2), (1, 3)])))
+    inst = tmp_path / "edge.inst"
+    inst.write_text("pattern: edge.pat\nhost: host.el\npart 0: 0 1\npart 1: 2 3\n")
+    env_dir, flag_dir = tmp_path / "env_reports", tmp_path / "flag_reports"
+    monkeypatch.setenv("BIJUMBLE_OUT_DIR", str(env_dir))
+    argv = ["count", "--instance", str(inst), "--p", "0.5", "--gamma", "0.5"]
+    assert run_cli(argv) == 0
+    assert [f.name for f in env_dir.glob("*.json")] == ["counting_window_two_sided-0-0000.json"]
+    assert run_cli([*argv, "--out", str(flag_dir)]) == 0  # --out comes first
+    assert len(list(flag_dir.glob("*.json"))) == 1 and len(list(env_dir.glob("*.json"))) == 1
+
+
 def test_cli_exit_codes(tmp_path, book10_pat, capsys):
     assert run_cli(["no-such-command"]) == 2
     assert run_cli(["optialpha", "--p", "0.25"]) == 2  # missing --b

@@ -54,7 +54,8 @@ def test_capacity_error_before_any_enumeration(monkeypatch):
 
     for module in (_subsets, jumbled, regularity):
         monkeypatch.setattr(module, "scan", refuse)
-    monkeypatch.setattr(_subsets, "_block", refuse)
+    for module in (jumbled, regularity):
+        monkeypatch.setattr(module, "pair_block", refuse)
     pr = complete_bipartite(30, 23)
     with pytest.raises(CapacityError):
         exact_jumble_gamma(pr, 0.5)
@@ -66,4 +67,4 @@ def test_budget_helpers():
     assert _subsets.subset_budget(4, 1) == 15
     assert _subsets.subset_budget(4, 3) == 5
     assert _subsets.min_size(0.2, 15) == 3  # 0.2 * 15 is 3.0000000000000004 in floats
-    assert _subsets.regularity_budget(complete_bipartite(10, 4), 0.5) == 11
+    assert _subsets.regularity_budget((10, 4), 0.5) == 11
