@@ -43,7 +43,6 @@ for tag, out in (("clean", outcome), ("planted", control)):
         "one_sided_inheritance",
         "relaxed",
         list(out.evidence),
-        out.exceptional_fraction <= 0.10,
         measured=out.exceptional_fraction,
         bound=0.10,
         bound_kind="upper",

@@ -2,7 +2,12 @@
 
 Audits compare exact integer counts against bounds with irrational factors,
 so every such comparison goes through these helpers: relative tolerance
-1e-9 with an absolute floor of 1e-12, recorded in every report.
+1e-9 with an absolute floor of 1e-12, recorded in every report.  ``geq``,
+``leq`` and ``within`` accept a value that misses its bound by at most
+``slack``; ``reports.make_report`` applies them to every audit (lower bound:
+geq, upper bound: leq, window: within) and records the margin with the sign
+that is positive on the passing side.  Rounding guards (a ceiling or floor
+taken just inside an exact integer) use the same constants.
 """
 
 from __future__ import annotations

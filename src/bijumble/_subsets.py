@@ -31,6 +31,8 @@ import math
 
 import numpy as np
 
+from ._numeric import ABS_TOL
+
 DEFAULT_ENUM_CAP = 1 << 22  # subsets; the classic "side <= 22" resource limit
 TIE = 1e-15
 MARGIN = 1e-9
@@ -39,7 +41,7 @@ CHUNK = 512
 
 def min_size(epsilon: float, n: int) -> int:
     """Smallest subset size ceil(epsilon * n) that the regularity definition admits."""
-    return max(1, math.ceil(epsilon * n - 1e-12))
+    return max(1, math.ceil(epsilon * n - ABS_TOL))
 
 
 def subset_budget(n: int, smallest: int) -> int:

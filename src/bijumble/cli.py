@@ -17,14 +17,9 @@ from pathlib import Path
 from . import embeddings, experiments, jumbled, patterns, quads, regularity
 from .errors import BijumbleError, CapacityError, ParameterError, ParseError
 from .graphs import BipartitePairView, VertexSet, load_graph
-from .reports import (
-    ENV_OUT_DIR,
-    AuditReport,
-    HypothesisRecord,
-    RunConfig,
-    make_report,
-    write_report,
-)
+from .reports import AuditReport, HypothesisRecord, RunConfig, make_report, write_report
+
+ENV_OUT_DIR = "BIJUMBLE_OUT_DIR"
 
 
 def parse_vertex_spec(spec: str) -> VertexSet:
@@ -94,7 +89,9 @@ def _print_exponent_table(tag: str, report: patterns.ExponentReport):
     print(f"  line_graph_2s    {lg if lg is not None else 'n/a'}")
 
 
-def _emit(report: AuditReport, out_dir, failures: list):
+def _emit(report: AuditReport, out_dir) -> int:
+    """Print the report's summary line, write it when ``out_dir`` is set,
+    and return its exit code: 1 for a failed verdict, else 0."""
     line = (
         f"{report.lemma:<24} mode={report.mode:<7} verdict={report.verdict:<18} "
         f"measured={report.measured} bound={report.bound}"
@@ -102,8 +99,7 @@ def _emit(report: AuditReport, out_dir, failures: list):
     print(line)
     if out_dir is not None:
         write_report(report, out_dir)
-    if report.verdict == "fail":
-        failures.append(report.lemma)
+    return 1 if report.verdict == "fail" else 0
 
 
 def _cmd_params(args) -> int:
@@ -132,19 +128,17 @@ def _cmd_certify(args) -> int:
         print(f"witness left  = {list(cert.witness[0].indices)}")
         print(f"witness right = {list(cert.witness[1].indices)}")
     if args.out:
-        failures: list = []
         report = make_report(
             "jumble_certificate",
             "relaxed",
             [],
-            True,
             measured=cert.gamma,
             bound=None,
             bound_kind="none",
             parameters={"method": cert.method, "p": args.p, **cert.to_record()},
             seed=args.seed,
         )
-        _emit(report, args.out, failures)
+        return _emit(report, args.out)
     return 0
 
 
@@ -183,7 +177,6 @@ def _cmd_count(args) -> int:
     instance = _load_instance(args.instance)
     count = embeddings.count_partite_copies(instance)
     print(f"count={count}")
-    failures: list = []
     if args.p is not None:
         dh, pred = embeddings.predicted_count(instance, args.p)
         print(f"density_product={dh:.12g} prediction={pred:.12g}")
@@ -191,8 +184,8 @@ def _cmd_count(args) -> int:
             report = embeddings.counting_window_audit(
                 instance, args.p, args.gamma, side=args.side, seed=args.seed
             )
-            _emit(report, args.out, failures)
-    return 1 if failures else 0
+            return _emit(report, args.out)
+    return 0
 
 
 def _cmd_suffix(args) -> int:
@@ -203,11 +196,10 @@ def _cmd_suffix(args) -> int:
         w_sets[int(head)] = parse_vertex_spec(payload)
     suffix = embeddings.SuffixInstance(instance, args.x, w_sets)
     print(f"suffix_count={embeddings.suffix_count(suffix)}")
-    failures: list = []
     if args.p is not None and args.eps is not None:
         report = embeddings.suffix_bound_audit(suffix, args.p, args.eps, mode=args.mode, seed=args.seed)
-        _emit(report, args.out, failures)
-    return 1 if failures else 0
+        return _emit(report, args.out)
+    return 0
 
 
 def _cmd_optialpha(args) -> int:
@@ -269,24 +261,20 @@ def _cmd_inherit(args) -> int:
         f"fraction={outcome.exceptional_fraction:.4f} (statement threshold eps'|X| = "
         f"{outcome.threshold_reference:.1f})"
     )
-    failures: list = []
     report = make_report(
         f"{lemma}_inheritance",
         args.mode,
         list(outcome.evidence),
-        outcome.exceptional_fraction <= args.ceiling,
         measured=outcome.exceptional_fraction,
         bound=args.ceiling,
         bound_kind="upper",
         parameters=outcome.parameters,
         seed=seed,
     )
-    _emit(report, args.out, failures)
-    return 1 if failures else 0
+    return _emit(report, args.out)
 
 
 def _cmd_audit(args) -> int:
-    failures: list = []
     if args.lemma in ("many_bad_pairs", "few_bad_pairs"):
         system = _make_system(args)
         report = experiments.bad_pair_bounds_audit(
@@ -329,7 +317,6 @@ def _cmd_audit(args) -> int:
                     "defect_hypotheses", result.hypotheses_met, True, {"mean": result.mean}
                 )
             ],
-            result.holds,
             measured=result.lhs,
             bound=result.rhs,
             bound_kind="lower",
@@ -338,8 +325,7 @@ def _cmd_audit(args) -> int:
         )
     else:
         raise ParameterError(f"unknown audit lemma {args.lemma!r}")
-    _emit(report, args.out, failures)
-    return 1 if failures else 0
+    return _emit(report, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

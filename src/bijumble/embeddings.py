@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ._numeric import geq, leq, within
+from ._numeric import REL_TOL, geq, leq
 from .errors import CapacityError, ParameterError
 from .graphs import BipartitePairView, Graph, VertexSet, iter_bits, p_density
 from .patterns import Pattern, d_tilde
@@ -143,27 +143,18 @@ def counting_window_audit(
     count = count_partite_copies(instance)
     lo = (dh - gamma) * scale
     if side == "lower":
-        ok = geq(count, lo)
-        bound = lo
-        kind = "lower"
-        margin = count - lo
+        bound, kind = lo, "lower"
     else:
-        hi = (dh + gamma) * scale
-        ok = within(count, lo, hi)
-        bound = [lo, hi]
-        kind = "window"
-        margin = min(count - lo, hi - count)
+        bound, kind = [lo, (dh + gamma) * scale], "window"
     return make_report(
         "counting_window_" + ("one_sided" if side == "lower" else "two_sided"),
         "relaxed",
         [],
-        ok,
         measured=count,
         bound=bound,
         bound_kind=kind,
         parameters={"p": p, "gamma": gamma, "density_product": dh, "edge_count": e},
         seed=seed,
-        margin=margin,
         started=started,
     )
 
@@ -217,8 +208,7 @@ def suffix_bound_audit(
             1 for w in iter_bits(pattern.graph.rows[y]) if pos[w] < x_pos
         )  # |N^{<x}(y)|
         required = eps * p**back * len(base.parts[y])
-        ok = len(instance.w_sets[y]) >= required - 1e-12
-        floors_ok &= ok
+        floors_ok &= geq(len(instance.w_sets[y]), required)
         floor_detail[str(y)] = {"size": len(instance.w_sets[y]), "required": required}
     hyp_floors = HypothesisRecord("w_set_floors", floors_ok, True, floor_detail)
 
@@ -235,7 +225,7 @@ def suffix_bound_audit(
     dt = d_tilde(pattern)
     budget = 0.5 * eps * (50.0 * dmax) ** -dmax * p ** (0.5 + 0.5 * dt) if dmax else 0.5 * eps
     hyp_beta = HypothesisRecord(
-        "beta_budget", beta <= budget + 1e-15, beta_certified, {"beta": beta, "budget": budget}
+        "beta_budget", leq(beta, budget), beta_certified, {"beta": beta, "budget": budget}
     )
 
     count = suffix_count(instance)
@@ -243,12 +233,10 @@ def suffix_bound_audit(
         1 for u, v in pattern.graph.edges() if pos[u] >= x_pos and pos[v] >= x_pos
     )
     bound = (4 * p) ** e_suffix * math.prod(len(instance.w_sets[y]) for y in suffix)
-    ok = leq(count, bound)
     return make_report(
         "suffix_count_bound",
         mode,
         [hyp_p, hyp_floors, hyp_beta],
-        ok,
         measured=count,
         bound=bound,
         bound_kind="upper",
@@ -261,7 +249,6 @@ def suffix_bound_audit(
             "max_degree": dmax,
         },
         seed=seed,
-        margin=bound - count,
         started=started,
     )
 
@@ -293,7 +280,7 @@ def optialpha_check(p: float, b: Sequence[int]) -> OptialphaResult:
         raise ParameterError("b entries must be nonnegative integers")
     if any(b[i] < b[i + 1] for i in range(q - 1)):
         raise ParameterError("b must be sorted nonincreasing")
-    cap_p = int(math.floor(math.log2(1.0 / p) + 1e-9))
+    cap_p = int(math.floor(math.log2(1.0 / p) + REL_TOL))
     if (cap_p + 1) ** q > OPTIALPHA_CAP:
         raise CapacityError(
             f"optialpha enumeration ({(cap_p + 1) ** q} vectors) exceeds capacity {OPTIALPHA_CAP}"
@@ -313,5 +300,5 @@ def optialpha_check(p: float, b: Sequence[int]) -> OptialphaResult:
         holds=leq(total, bound),
         cap_p=cap_p,
         c_exponent=c_exp,
-        p_hypothesis_met=p <= 0.1 + 1e-12,
+        p_hypothesis_met=leq(p, 0.1),
     )

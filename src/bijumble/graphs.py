@@ -197,10 +197,6 @@ class BipartitePairView:
         rmask = self.right.mask
         return sum((self.graph.rows[u] & rmask).bit_count() for u in self.left)
 
-    def degrees_into(self, side_mask: int, vertices: Iterable[int]) -> list[int]:
-        rows = self.graph.rows
-        return [(rows[v] & side_mask).bit_count() for v in vertices]
-
     def swapped(self) -> "BipartitePairView":
         return BipartitePairView(self.graph, self.right, self.left)
 

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
+from ._numeric import ABS_TOL
 from ._subsets import DEFAULT_ENUM_CAP, TIE, scan, subset_budget
 from .errors import BijumbleError, CapacityError, ParameterError
 from .graphs import BipartitePairView, VertexSet, pair_block
@@ -43,7 +44,6 @@ class JumbleCertificate:
     witness: Optional[tuple[VertexSet, VertexSet]]
     sound_upper: bool
     iterations: int | None = None  # spectral: Cholesky attempts, 1 or 2
-    hypothesis: dict = field(default_factory=dict)
 
     def c_prime(self, k: float, left_size: int, right_size: int) -> float:
         """gamma expressed as c' with gamma = c' p^k sqrt(|U||V|)."""
@@ -60,8 +60,6 @@ class JumbleCertificate:
         }
         if self.iterations is not None:
             rec["iterations"] = self.iterations
-        if self.hypothesis:
-            rec["hypothesis"] = dict(sorted(self.hypothesis.items()))
         return rec
 
 
@@ -236,7 +234,7 @@ def search_jumble_violation(
                     sizes = [len(chosen[0]), len(chosen[1])]
                     sizes[side] += -1 if inside else 1
                     sc = _discrepancy(ne, p, *sizes)
-                    if sc > score + 1e-12 and (cand is None or sc > cand[0] + 1e-12):
+                    if sc > score + ABS_TOL and (cand is None or sc > cand[0] + ABS_TOL):
                         cand = (sc, side, x, ne)
             if cand is None:
                 break
@@ -276,12 +274,8 @@ def degree_outlier_census(
     if gamma_dev <= 0:
         raise ParameterError("gamma_dev must be positive")
     target = p * len(pair.right)
-    rmask = pair.right.mask
-    outliers = sum(
-        1
-        for u in pair.left
-        if abs((pair.graph.rows[u] & rmask).bit_count() - target) > gamma_dev * target
-    )
+    degrees = pair_block(pair).sum(axis=1)
+    outliers = int(np.count_nonzero(np.abs(degrees - target) > gamma_dev * target))
     bound = 2.0 * c_prime**2 * p ** (2 * k - 2) * gamma_dev**-2 * len(pair.left)
     return DegreeOutlierCensus(outliers=outliers, bound=bound, gamma_dev=gamma_dev, expected_degree=target)
 

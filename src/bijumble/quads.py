@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._numeric import geq, within
+from ._numeric import ABS_TOL, geq, leq
 from .errors import ParameterError
 from .graphs import BipartitePairView, Graph, VertexSet, density, pair_block
 from .regularity import _auto_method, _verdict, apply_density_floor
@@ -121,10 +121,8 @@ def c4_partition_by_class(
     heavy_bound = heavy_ok = degree_ok = None
     if p is not None and c_prime is not None:
         heavy_bound = 64.0 * c_prime**2 * p**4 * len(pair.left) ** 2 * nv**2
-        heavy_ok = heavy <= heavy_bound * (1 + 1e-9) + 1e-12
-        degree_ok = all(
-            deg <= 2 * p * nv + 1e-9 for deg in pair.degrees_into(pair.right.mask, pair.left)
-        )
+        heavy_ok = leq(heavy, heavy_bound)
+        degree_ok = all(leq(deg, 2 * p * nv) for deg in pair_block(pair).sum(axis=1).tolist())
     return C4Census(
         total=typical + bad + heavy,
         through_heavy=heavy,
@@ -143,7 +141,6 @@ class CsDefectResult:
     holds: bool
     hypotheses_met: bool
     mean: float
-    defect_mean: float | None
 
 
 def cs_defect_check(values: Sequence[float], a: float, delta: float, mu: float) -> CsDefectResult:
@@ -165,19 +162,15 @@ def cs_defect_check(values: Sequence[float], a: float, delta: float, mu: float) 
     mean = sum(values) / k
     lhs = sum(v * v for v in values)
     rhs = k * a * a * (1 + mu * delta * delta / (1 - mu))
-    need = math.ceil(mu * k - 1e-12)
-    defect_mean = None
+    need = math.ceil(mu * k - ABS_TOL)
     hyp = a >= 0 and geq(mean, a)
     if hyp and need > 0:
         ordered = sorted(values)
         top = sum(ordered[-need:]) / need
         bottom = sum(ordered[:need]) / need
-        defect_mean = top
         if not (geq(top, (1 + delta) * a) or geq((1 - delta) * a, bottom)):
             hyp = False
-    return CsDefectResult(
-        lhs=lhs, rhs=rhs, holds=geq(lhs, rhs), hypotheses_met=hyp, mean=mean, defect_mean=defect_mean
-    )
+    return CsDefectResult(lhs=lhs, rhs=rhs, holds=geq(lhs, rhs), hypotheses_met=hyp, mean=mean)
 
 
 def _regularity_refutation(pair, eps, p, trials, seed):
@@ -255,7 +248,6 @@ def c4_dense_irregular_audit(
                     {"note": "bound (b) needs a refutation of (eps)-regularity"},
                 )
             )
-    ok = geq(c4, bound)
     params = {
         "eps": eps,
         "q": q,
@@ -274,13 +266,11 @@ def c4_dense_irregular_audit(
         "c4_dense_irregular",
         mode,
         hyps,
-        ok,
         measured=c4,
         bound=bound,
         bound_kind="lower",
         parameters=params,
         seed=seed,
-        margin=c4 - bound,
         started=started,
     )
 
@@ -328,18 +318,14 @@ def c4_regular_bijumbled_audit(
     scale = p**4 * nu * nu * nv * nv / 4.0
     lo = (d**4 - width) * scale
     hi = (d**4 + width) * scale
-    c4 = count_c4(pair)
-    ok = within(c4, lo, hi)
     return make_report(
         "c4_regular_bijumbled",
         mode,
         [hyp_reg, hyp_jumble],
-        ok,
-        measured=c4,
+        measured=count_c4(pair),
         bound=[lo, hi],
         bound_kind="window",
         parameters={"eps": eps, "d": d, "p": p, "c": c, "width": width},
         seed=seed,
-        margin=min(c4 - lo, hi - c4),
         started=started,
     )

@@ -331,10 +331,6 @@ class ExtensionCheck:
     base_verdict: RegularityVerdict
     conclusion: RegularityVerdict
 
-    @property
-    def passed(self) -> bool:
-        return self.conclusion.regular
-
 
 def extend_and_check(
     base: BipartitePairView,
@@ -356,14 +352,14 @@ def extend_and_check(
     """
     if not 0 < epsilon < 0.1:
         raise ParameterError("epsilon must lie in (0, 1/10)")
-    if c > epsilon**3 / 10 + 1e-15:
+    if not leq(c, epsilon**3 / 10):
         raise ParameterError("need c <= epsilon^3 / 10")
     if not base.left.issubset(extended.left) or not base.right.issubset(extended.right):
         raise ParameterError("base sides must be subsets of extended sides")
     growth = 1 + epsilon**3 / 10
-    if len(extended.left) > growth * len(base.left) + 1e-9:
+    if not leq(len(extended.left), growth * len(base.left)):
         raise ParameterError("hypothesis violated: |U'| <= (1 + eps^3/10)|U|")
-    if len(extended.right) > growth * len(base.right) + 1e-9:
+    if not leq(len(extended.right), growth * len(base.right)):
         raise ParameterError("hypothesis violated: |V'| <= (1 + eps^3/10)|V|")
 
     base_verdict = check_eps_d_p(base, epsilon, d, p, method=method, trials=trials, seed=seed)
@@ -371,7 +367,7 @@ def extend_and_check(
 
     jumble_gamma = spectral_jumble_bound(extended, p).gamma
     gamma_budget = c * p * math.sqrt(len(base.left) * len(base.right))
-    jumble_ok = jumble_gamma <= gamma_budget + 1e-12
+    jumble_ok = leq(jumble_gamma, gamma_budget)
     details = {
         "base_regular": base_verdict.regular,
         "jumble_gamma": jumble_gamma,

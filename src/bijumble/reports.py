@@ -7,6 +7,14 @@ certified (exact enumeration or a sound spectral bound); anything less is
 reported as hypotheses-not-met.  Relaxed mode records the same evidence but
 verdicts against user-supplied slack.
 
+``make_report`` is the one place that compares an audit's measured value
+with its bound, through ``_numeric`` and by ``bound_kind``: "lower" passes
+when measured >= bound, "upper" when measured <= bound, "window" when
+measured lies in [lo, hi], each up to the recorded tolerance, and "none"
+always passes.  The margin is positive on the passing side: measured -
+bound (lower), bound - measured (upper), the smaller distance to either end
+of the window, and None for "none".
+
 Reports serialise to one JSON document each (fixed key order, UTF-8) plus a
 run-level index.csv row; re-serialising a parsed report is byte-identical
 except for the wall-clock field.
@@ -23,10 +31,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from ._numeric import ABS_TOL, REL_TOL
+from ._numeric import ABS_TOL, REL_TOL, geq, leq, within
 from .errors import ParameterError
-
-ENV_OUT_DIR = "BIJUMBLE_OUT_DIR"
 
 REPORT_KEY_ORDER = (
     "lemma",
@@ -129,24 +135,37 @@ def verdict_for(mode: str, hypotheses, comparison_ok: bool) -> str:
     return "pass" if comparison_ok else "fail"
 
 
+def _compare(measured, bound, bound_kind: str) -> tuple[bool, float | None]:
+    """(passes, margin) of ``measured`` against ``bound`` of ``bound_kind``."""
+    if bound_kind == "lower":
+        return geq(measured, bound), measured - bound
+    if bound_kind == "upper":
+        return leq(measured, bound), bound - measured
+    if bound_kind == "window":
+        lo, hi = bound
+        return within(measured, lo, hi), min(measured - lo, hi - measured)
+    if bound_kind == "none":
+        return True, None
+    raise ParameterError(f"unknown bound kind {bound_kind!r}")
+
+
 def make_report(
     lemma: str,
     mode: str,
     hypotheses,
-    comparison_ok: bool,
     measured,
     bound,
     bound_kind: str,
     parameters: dict,
     seed: int,
-    margin: float | None = None,
     started: float | None = None,
 ) -> AuditReport:
+    ok, margin = _compare(measured, bound, bound_kind)
     wall = time.perf_counter() - started if started is not None else 0.0
     return AuditReport(
         lemma=lemma,
         mode=mode,
-        verdict=verdict_for(mode, hypotheses, comparison_ok),
+        verdict=verdict_for(mode, hypotheses, ok),
         measured=measured,
         bound=bound,
         bound_kind=bound_kind,
@@ -162,10 +181,6 @@ def serialize_report(report: AuditReport) -> str:
     rec = report.to_record()
     ordered = {key: rec[key] for key in REPORT_KEY_ORDER}
     return json.dumps(ordered, indent=2, ensure_ascii=False) + "\n"
-
-
-def parse_report(text: str) -> dict:
-    return json.loads(text)
 
 
 def write_report(report: AuditReport, out_dir) -> Path:
@@ -235,8 +250,9 @@ class RunConfig:
     """Global toolkit configuration; the seed is mandatory.
 
     Only the output directory may come from the environment
-    (BIJUMBLE_OUT_DIR); every other parameter flows through flags or the
-    flat ``key = value`` config file.
+    (BIJUMBLE_OUT_DIR, which the CLI applies ahead of ``out_dir``); every
+    other parameter flows through flags or the flat ``key = value`` config
+    file.
     """
 
     seed: int
@@ -248,16 +264,12 @@ class RunConfig:
             raise ParameterError(f"seed {self.seed} must be non-negative")
         if self.workers < 1:
             raise ParameterError("workers must be >= 1")
-        env_dir = os.environ.get(ENV_OUT_DIR)
-        if env_dir:
-            self.out_dir = env_dir
 
     _FIELD_TYPES = {"seed": int, "workers": int, "out_dir": str}
 
     @classmethod
-    def from_text(cls, text: str, **overrides) -> "RunConfig":
+    def from_text(cls, text: str) -> "RunConfig":
         values = parse_key_values(text, cls._FIELD_TYPES, "config")
-        values.update(overrides)
         if "seed" not in values:
             raise ParameterError("config must provide a seed")
         return cls(**values)

@@ -382,7 +382,6 @@ def test_criterion_10_worker_determinism():
             "one_sided_inheritance",
             "relaxed",
             list(out.evidence),
-            out.exceptional_fraction <= 0.1,
             measured=out.exceptional_fraction,
             bound=0.1,
             bound_kind="upper",

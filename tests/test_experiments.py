@@ -198,7 +198,7 @@ def test_worker_count_independence():
     s = build(40, 0.4, 0.5, 11)
     out1 = two_sided_experiment(s, 0.4, 0.5, 0.4, method="sampled", trials=6, seed=13, workers=1)
     out4 = two_sided_experiment(s, 0.4, 0.5, 0.4, method="sampled", trials=6, seed=13, workers=4)
-    assert out1.to_record() == out4.to_record()
+    assert out1 == out4
 
 
 def test_outcome_embeds_hypothesis_evidence():

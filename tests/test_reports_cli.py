@@ -12,12 +12,13 @@ from bijumble.cli import parse_vertex_spec, run_cli
 from bijumble.errors import ParameterError
 from bijumble.graphs import format_edge_list, triangle_book, complete_graph, Graph
 from bijumble.patterns import Pattern, format_pattern
+import bijumble
+from bijumble._numeric import slack
 from bijumble.reports import (
     AuditReport,
     HypothesisRecord,
     RunConfig,
     make_report,
-    parse_report,
     serialize_report,
     verdict_for,
     write_report,
@@ -30,13 +31,12 @@ def _mask_wall(text: str) -> str:
     return WALL_RE.sub('"wall_clock_s": 0', text)
 
 
-def sample_report(verdict_ok=True, mode="relaxed"):
+def sample_report(measured=3, mode="relaxed"):
     return make_report(
         "sample_lemma",
         mode,
         [HypothesisRecord("h1", True, True, {"x": 1})],
-        verdict_ok,
-        measured=3,
+        measured=measured,
         bound=4.0,
         bound_kind="upper",
         parameters={"alpha": 0.5},
@@ -47,7 +47,7 @@ def sample_report(verdict_ok=True, mode="relaxed"):
 def test_serialise_round_trip_byte_identical():
     rep = sample_report()
     text = serialize_report(rep)
-    parsed = parse_report(text)
+    parsed = json.loads(text)
     again = json.dumps(parsed, indent=2, ensure_ascii=False) + "\n"
     assert text == again
     assert parsed["seed"] == 42 and parsed["verdict"] == "pass"
@@ -61,6 +61,57 @@ def test_report_key_order_fixed():
         "parameters", "hypotheses", "seed", "tolerance_rel", "tolerance_abs",
         "toolkit_version", "wall_clock_s",
     ]
+
+
+B = 1000.0
+S = slack(B, B)
+
+
+@pytest.mark.parametrize(
+    "kind, bound, measured, verdict, margin",
+    [
+        ("lower", B, B + 1, "pass", 1.0),
+        ("lower", B, B - S / 2, "pass", -S / 2),
+        ("lower", B, B - 2 * S, "fail", -2 * S),
+        ("upper", B, B - 1, "pass", 1.0),
+        ("upper", B, B + S / 2, "pass", -S / 2),
+        ("upper", B, B + 2 * S, "fail", -2 * S),
+        ("window", [B, 2 * B], 1.25 * B, "pass", 0.25 * B),
+        ("window", [B, 2 * B], B - S / 2, "pass", -S / 2),
+        ("window", [B, 2 * B], B - 2 * S, "fail", -2 * S),
+        ("window", [B / 2, B], B + S / 2, "pass", -S / 2),
+        ("window", [B / 2, B], B + 2 * S, "fail", -2 * S),
+        ("none", None, -1.0, "pass", None),
+    ],
+)
+def test_make_report_comparison_rule(kind, bound, measured, verdict, margin):
+    rep = make_report(
+        "lemma", "relaxed", [], measured=measured, bound=bound, bound_kind=kind,
+        parameters={}, seed=0,
+    )
+    assert rep.verdict == verdict
+    if margin is None:
+        assert rep.margin is None
+    else:
+        assert rep.margin == pytest.approx(margin)
+    with pytest.raises(ParameterError, match="unknown bound kind"):
+        make_report("lemma", "relaxed", [], measured=measured, bound=bound,
+                    bound_kind="between", parameters={}, seed=0)
+
+
+def test_no_tolerance_literals_outside_numeric():
+    """Comparisons against a bound take their tolerance from _numeric; the
+    witness tie-replay constants of _subsets are the only other ones."""
+    literal = re.compile(r"\b1(\.0*)?e-0*(9|12|15)\b", re.I)
+    allowed = {("_subsets.py", "TIE = 1e-15"), ("_subsets.py", "MARGIN = 1e-9")}
+    found = [
+        (path.name, line.strip())
+        for path in sorted(Path(bijumble.__file__).parent.glob("*.py"))
+        if path.name != "_numeric.py"
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if literal.search(line)
+    ]
+    assert [hit for hit in found if hit not in allowed] == []
 
 
 def test_verdict_rule():
@@ -78,7 +129,7 @@ def test_verdict_rule():
 
 def test_write_report_counter_and_index(tmp_path):
     p1 = write_report(sample_report(), tmp_path)
-    p2 = write_report(sample_report(False), tmp_path)
+    p2 = write_report(sample_report(measured=5), tmp_path)
     assert p1.name == "sample_lemma-42-0000.json"
     assert p2.name == "sample_lemma-42-0001.json"
     rows = (tmp_path / "index.csv").read_text().strip().splitlines()
@@ -123,7 +174,8 @@ def test_every_report_carries_a_seed(tmp_path):
 
 
 def test_run_config_parsing_and_env(monkeypatch, tmp_path):
-    monkeypatch.delenv("BIJUMBLE_OUT_DIR", raising=False)
+    # the CLI, not RunConfig, puts BIJUMBLE_OUT_DIR ahead of out_dir
+    monkeypatch.setenv("BIJUMBLE_OUT_DIR", str(tmp_path / "env_reports"))
     cfg = RunConfig.from_text("seed = 7\nworkers= 3\nout_dir = runs\n")
     assert cfg.seed == 7 and cfg.workers == 3 and cfg.out_dir == "runs"
     with pytest.raises(ParameterError):
@@ -131,9 +183,6 @@ def test_run_config_parsing_and_env(monkeypatch, tmp_path):
     for key in ("not_a_key", "spectral_tol"):
         with pytest.raises(ParameterError):
             RunConfig.from_text(f"seed = 1\n{key} = 2\n")
-    monkeypatch.setenv("BIJUMBLE_OUT_DIR", str(tmp_path / "env_reports"))
-    cfg2 = RunConfig.from_text("seed = 1\nout_dir = ignored\n")
-    assert cfg2.out_dir == str(tmp_path / "env_reports")
 
 
 def test_parse_vertex_spec():
@@ -217,20 +266,39 @@ def test_cli_count_instance(tmp_path, capsys):
     assert code == 0 and "suffix_count=6" in out
 
 
-def test_cli_out_dir_from_env_without_config(tmp_path, monkeypatch):
+def _edge_count_argv(tmp_path):
+    """``count`` on one pattern edge in a perfect matching: a passing audit."""
     pat = tmp_path / "edge.pat"
     pat.write_text(format_pattern(Pattern.identity(Graph.from_edges(2, [(0, 1)]))))
     host = tmp_path / "host.el"
     host.write_text(format_edge_list(Graph.from_edges(4, [(0, 2), (1, 3)])))
     inst = tmp_path / "edge.inst"
     inst.write_text("pattern: edge.pat\nhost: host.el\npart 0: 0 1\npart 1: 2 3\n")
+    return ["count", "--instance", str(inst), "--p", "0.5", "--gamma", "0.5"]
+
+
+def test_cli_out_dir_from_env_without_config(tmp_path, monkeypatch):
     env_dir, flag_dir = tmp_path / "env_reports", tmp_path / "flag_reports"
     monkeypatch.setenv("BIJUMBLE_OUT_DIR", str(env_dir))
-    argv = ["count", "--instance", str(inst), "--p", "0.5", "--gamma", "0.5"]
+    argv = _edge_count_argv(tmp_path)
     assert run_cli(argv) == 0
     assert [f.name for f in env_dir.glob("*.json")] == ["counting_window_two_sided-0-0000.json"]
     assert run_cli([*argv, "--out", str(flag_dir)]) == 0  # --out comes first
     assert len(list(flag_dir.glob("*.json"))) == 1 and len(list(env_dir.glob("*.json"))) == 1
+
+
+def test_cli_out_dir_env_beats_config(tmp_path, monkeypatch):
+    env_dir, cfg_dir, flag_dir = (tmp_path / name for name in ("env", "cfg", "flag"))
+    config = tmp_path / "run.cfg"
+    config.write_text(f"seed = 0\nout_dir = {cfg_dir}\n")
+    argv = [*_edge_count_argv(tmp_path), "--config", str(config)]
+    monkeypatch.delenv("BIJUMBLE_OUT_DIR", raising=False)
+    assert run_cli(argv) == 0
+    monkeypatch.setenv("BIJUMBLE_OUT_DIR", str(env_dir))
+    assert run_cli(argv) == 0
+    assert run_cli([*argv, "--out", str(flag_dir)]) == 0
+    for directory in (cfg_dir, env_dir, flag_dir):
+        assert len(list(directory.glob("*.json"))) == 1
 
 
 def test_cli_exit_codes(tmp_path, book10_pat, capsys):
