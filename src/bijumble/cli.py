@@ -159,12 +159,14 @@ def _cmd_regularity(args) -> int:
 
 def _cmd_census(args) -> int:
     pair = _pair_from_args(args)
-    if args.c4:
-        print(quads.count_c4(pair))
-    if args.q is not None:
-        census = quads.classify_pairs(pair, args.q, args.delta)
+    if args.q is None:
+        if args.c4:
+            print(quads.count_c4(pair))
+    else:
+        census, parts = quads.class_census(pair, args.q, args.delta, p=args.p, c_prime=args.c_prime)
+        if args.c4:
+            print(parts.total)
         print(f"typical={census.typical} bad={census.bad} heavy={census.heavy}")
-        parts = quads.c4_partition_by_class(pair, args.q, args.delta, p=args.p, c_prime=args.c_prime)
         print(
             f"c4 total={parts.total} heavy={parts.through_heavy} bad={parts.through_bad} "
             f"typical={parts.through_typical}"

@@ -7,6 +7,11 @@ use.  The dense kernels (codegrees, sampled regularity, the spectral bound)
 work on numpy 0/1 blocks instead, cut by ``pair_block`` from the cached
 ``bool_matrix``.  Graphs and vertex sets are immutable after construction
 and safe to share across workers.
+
+Edge lists in the canonical form that ``format_edge_list`` writes are read
+in one vectorised numpy pass; every other accepted form, and every parse
+error, goes through the line loop ``_parse_lines`` (see the comment block
+above ``parse_edge_list``).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ParameterError, ParseError, UndefinedDensityError
+from .errors import CapacityError, ParameterError, ParseError, UndefinedDensityError
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -136,8 +141,13 @@ def bool_matrix(graph: Graph) -> np.ndarray:
 
 
 def rows_from_bool_matrix(mat: np.ndarray) -> tuple[int, ...]:
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    return tuple(int.from_bytes(packed[i].tobytes(), "little") for i in range(mat.shape[0]))
+    return _rows_from_packed(np.packbits(mat, axis=1, bitorder="little"))
+
+
+def _rows_from_packed(packed: np.ndarray) -> tuple[int, ...]:
+    """Python ``int`` bit rows of a (rows, bytes) little-endian packed matrix."""
+    data, width = packed.tobytes(), packed.shape[1]
+    return tuple(int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(len(packed)))
 
 
 @dataclass(frozen=True, order=True)
@@ -265,9 +275,74 @@ def codegree(u: int, u_prime: int, target: VertexSet, graph: Graph) -> int:
 # -- edge-list text format ---------------------------------------------------
 #
 # First line "n=<vertex_count>", then one edge "u v" per line, LF endings,
-# '#'-prefixed comment lines (and blank lines) ignored.
+# '#'-prefixed comment lines (and blank lines) ignored.  The canonical form,
+# which ``format_edge_list`` writes, is parsed in one numpy pass: an
+# "n=<ascii digits>" first line, then only lines "<digits> <digits>\n" naming
+# in-range, loop-free edges.  That pass accepts a strict subset of what the
+# line loop accepts and raises nothing; any other text, and every error,
+# goes through ``_parse_lines``, so messages and line numbers come from one
+# place.  A header above ``MAX_VERTICES`` is a ``CapacityError`` before any
+# row is allocated.
+
+MAX_VERTICES = 1 << 16  # bit rows of n^2/8 bytes: 512 MiB at the cap
+
+_SPACE, _NEWLINE = ord(" "), ord("\n")
+_MAX_TOKEN_DIGITS = 18  # below 2^63, so int64 tokens cannot overflow
+
 
 def parse_edge_list(text: str) -> Graph:
+    graph = _parse_canonical(text)
+    return graph if graph is not None else _parse_lines(text)
+
+
+def _parse_canonical(text: str) -> Graph | None:
+    """The graph of canonical ``text``, or None for any other text."""
+    head, newline, body = text.partition("\n")
+    count = head[2:]
+    if not (newline and head.startswith("n=") and count.isascii() and count.isdigit()):
+        return None
+    n = int(count)
+    if n > MAX_VERTICES or not body.isascii():
+        return None
+    encoded = body.encode("ascii")
+    if not _canonical_body(np.frombuffer(encoded, dtype=np.uint8)):
+        return None
+    ends = np.fromstring(encoded, dtype=np.int64, sep=" ")
+    u, v = ends[0::2], ends[1::2]
+    if (u == v).any() or (len(ends) and ends.max() >= n):
+        return None
+    # packed rows only for vertices with an edge: a sparse graph on many
+    # vertices must not cost n * ceil(n/8) bytes
+    touched = np.bincount(ends, minlength=n) > 0
+    slot = np.cumsum(touched) - 1
+    nbytes = (n + 7) // 8
+    packed = np.zeros((int(touched.sum()), nbytes), dtype=np.uint8)
+    for a, b in ((u, v), (v, u)):
+        np.bitwise_or.at(packed.reshape(-1), slot[a] * nbytes + (b >> 3), (1 << (b & 7)).astype(np.uint8))
+    rows = [0] * n
+    for vertex, row in zip(np.flatnonzero(touched).tolist(), _rows_from_packed(packed)):
+        rows[vertex] = row
+    return Graph._trusted(n, tuple(rows))
+
+
+def _canonical_body(raw: np.ndarray) -> bool:
+    """Whether the bytes ``raw`` are lines "<digits> <digits>\n", every token
+    of 1 to ``_MAX_TOKEN_DIGITS`` digits."""
+    if len(raw) == 0:
+        return True
+    # every non-digit byte is a separator: " " after u, "\n" after v
+    seps = np.flatnonzero(raw - np.uint8(ord("0")) > 9)  # bytes below "0" wrap round
+    widths = np.diff(seps, prepend=-1)  # token length + 1
+    return bool(
+        raw[-1] == _NEWLINE
+        and (raw[seps[0::2]] == _SPACE).all()
+        and (raw[seps[1::2]] == _NEWLINE).all()
+        and widths.min() >= 2
+        and widths.max() <= _MAX_TOKEN_DIGITS + 1
+    )
+
+
+def _parse_lines(text: str) -> Graph:
     vertex_count = None
     rows: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -283,6 +358,10 @@ def parse_edge_list(text: str) -> Graph:
                 raise ParseError(f"bad vertex count {line[2:]!r}", line=lineno) from None
             if vertex_count < 0:
                 raise ParseError("vertex count must be nonnegative", line=lineno)
+            if vertex_count > MAX_VERTICES:
+                raise CapacityError(
+                    f"line {lineno}: vertex count {vertex_count} exceeds the limit of {MAX_VERTICES}"
+                )
             rows = [0] * vertex_count
             continue
         parts = line.split(" ")

@@ -96,9 +96,7 @@ def _pair_classes(pair: BipartitePairView, q: float, delta: float):
 
 def classify_pairs(pair: BipartitePairView, q: float, delta: float) -> PairClassCensus:
     """Label every left pair by its codegree into the right side."""
-    _, classes = _pair_classes(pair, q, delta)
-    typical, bad, heavy = np.bincount(classes, minlength=3).tolist()
-    return PairClassCensus(q=q, delta=delta, typical=typical, bad=bad, heavy=heavy)
+    return class_census(pair, q, delta)[0]
 
 
 def c4_partition_by_class(
@@ -114,7 +112,20 @@ def c4_partition_by_class(
     compared against 64 c'^2 p^4 |U|^2 |V|^2 and the degree condition
     deg(u; V) <= 2 p |V| is checked alongside.
     """
+    return class_census(pair, q, delta, p, c_prime)[1]
+
+
+def class_census(
+    pair: BipartitePairView,
+    q: float,
+    delta: float,
+    p: float | None = None,
+    c_prime: float | None = None,
+) -> tuple[PairClassCensus, C4Census]:
+    """``classify_pairs`` and ``c4_partition_by_class`` from one codegree pass."""
     c, classes = _pair_classes(pair, q, delta)
+    typical, bad, heavy = np.bincount(classes, minlength=3).tolist()
+    census = PairClassCensus(q=q, delta=delta, typical=typical, bad=bad, heavy=heavy)
     quads = c * (c - 1) // 2
     typical, bad, heavy = (int(quads[classes == k].sum()) for k in range(3))
     nv = len(pair.right)
@@ -123,7 +134,7 @@ def c4_partition_by_class(
         heavy_bound = 64.0 * c_prime**2 * p**4 * len(pair.left) ** 2 * nv**2
         heavy_ok = leq(heavy, heavy_bound)
         degree_ok = all(leq(deg, 2 * p * nv) for deg in pair_block(pair).sum(axis=1).tolist())
-    return C4Census(
+    return census, C4Census(
         total=typical + bad + heavy,
         through_heavy=heavy,
         through_bad=bad,

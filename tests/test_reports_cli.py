@@ -402,6 +402,20 @@ def test_python_m_cli_runs_the_command():
     assert run("optialpha", "--no-such-flag").returncode == 2
 
 
+@pytest.mark.parametrize("header", ["n=3000000000", "n=12345678901234567890"])
+def test_cli_oversized_header_is_a_capacity_error(tmp_path, header):
+    graph = tmp_path / "huge.el"
+    graph.write_text(f"{header}\n0 1\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "bijumble.cli", "census", "--graph", str(graph),
+         "--left", "0", "--right", "1", "--c4"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 3 and done.stdout == ""
+    assert "capacity error" in done.stderr and "Traceback" not in done.stderr
+
+
 def test_cli_io_error_exit_code(tmp_path, capsys):
     target = tmp_path / "not_a_dir"
     target.write_text("occupied")
