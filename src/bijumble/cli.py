@@ -22,6 +22,8 @@ from .reports import AuditReport, HypothesisRecord, RunConfig, make_report, writ
 ENV_OUT_DIR = "BIJUMBLE_OUT_DIR"
 
 
+# -- argument types: argparse turns a ValueError here into a usage error --------
+
 def parse_vertex_spec(spec: str) -> VertexSet:
     """Parse '0..5', '0,2,5' or combinations like '0..3,7' (ranges inclusive)."""
     out = []
@@ -39,9 +41,26 @@ def parse_vertex_spec(spec: str) -> VertexSet:
     return VertexSet.of(out)
 
 
+def parse_w_set(spec: str) -> tuple[int, VertexSet]:
+    """Parse 'vertex:spec', a pattern vertex and its window set."""
+    head, _, payload = spec.partition(":")
+    return int(head), parse_vertex_spec(payload)
+
+
+def parse_plant(spec: str) -> tuple[float, float, int]:
+    """Parse 'fraction:boost:seed'; ``make_system`` checks the ranges."""
+    fraction, boost, seed = spec.split(":")
+    return float(fraction), float(boost), int(seed)
+
+
+def parse_float_list(spec: str) -> list[float]:
+    return [float(tok) for tok in spec.split(",")]
+
+
 def _pair_from_args(args) -> BipartitePairView:
-    graph = load_graph(args.graph)
-    return BipartitePairView(graph, parse_vertex_spec(args.left), parse_vertex_spec(args.right))
+    if None in (args.graph, args.left, args.right):
+        raise ParameterError("this command needs --graph, --left and --right")
+    return BipartitePairView(load_graph(args.graph), args.left, args.right)
 
 
 def _load_pattern(path) -> patterns.Pattern:
@@ -66,12 +85,17 @@ def _load_instance(path) -> embeddings.PartiteInstance:
                 host = load_graph(base / line[len("host:"):].strip())
             elif line.startswith("part"):
                 head, _, payload = line.partition(":")
-                idx = int(head[len("part"):])
-                parts[idx] = VertexSet.of(int(tok) for tok in payload.split())
+                try:
+                    parts[int(head[len("part"):])] = VertexSet.of(int(tok) for tok in payload.split())
+                except ValueError:
+                    raise ParseError(f"malformed part line {line!r}", line=lineno) from None
             else:
                 raise ParseError(f"unrecognised instance line {line!r}", line=lineno)
     if pattern is None or host is None:
         raise ParseError("instance file needs 'pattern:' and 'host:' lines")
+    missing = sorted(set(range(pattern.graph.vertex_count)) - parts.keys())
+    if missing:
+        raise ParseError(f"instance file has no 'part' line for pattern vertices {missing}")
     ordered = tuple(parts[i] for i in range(pattern.graph.vertex_count))
     return embeddings.PartiteInstance(pattern, host, ordered)
 
@@ -192,11 +216,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_suffix(args) -> int:
     instance = _load_instance(args.instance)
-    w_sets = {}
-    for spec in args.w or []:
-        head, _, payload = spec.partition(":")
-        w_sets[int(head)] = parse_vertex_spec(payload)
-    suffix = embeddings.SuffixInstance(instance, args.x, w_sets)
+    suffix = embeddings.SuffixInstance(instance, args.x, dict(args.w or []))
     print(f"suffix_count={embeddings.suffix_count(suffix)}")
     if args.p is not None and args.eps is not None:
         report = embeddings.suffix_bound_audit(suffix, args.p, args.eps, mode=args.mode, seed=args.seed)
@@ -214,71 +234,38 @@ def _cmd_optialpha(args) -> int:
     return 0 if result.holds else 1
 
 
-def _make_system(args):
-    system = experiments.make_system(args.nx, args.ny, args.nz, args.p, args.d, args.seed)
-    if args.plant:
-        frac, boost, pseed = args.plant.split(":")
-        system = experiments.plant_irregular_block(
-            system, ("Y", "Z"), float(frac), float(boost), int(pseed)
-        )
-    return system
-
-
 def _cmd_inherit(args) -> int:
     if args.plan:
         if args.plant:
             raise ParameterError("--plant cannot be combined with --plan; pass the plan as flags")
         with open(args.plan, "r", encoding="utf-8") as fh:
             plan = experiments.ExperimentPlan.from_text(fh.read())
-        outcome = plan.run(workers=args.workers)
-        lemma, seed = plan.lemma, plan.seed
     else:
-        missing = [
-            name
-            for name in ("lemma", "nx", "ny", "nz", "p", "d", "eps_prime")
-            if getattr(args, name) is None
-        ]
-        if missing:
-            raise ParameterError(f"inherit needs --plan or flags: {missing}")
-        system = _make_system(args)
-        run = (
-            experiments.one_sided_experiment
-            if args.lemma == "one_sided"
-            else experiments.two_sided_experiment
-        )
-        outcome = run(
-            system,
-            args.eps_prime,
-            args.d,
-            args.p,
-            method=args.method,
-            trials=args.trials,
-            seed=args.seed,
-            eps=args.eps,
-            workers=args.workers,
-        )
-        lemma, seed = args.lemma, args.seed
+        plan = experiments.ExperimentPlan.from_values(vars(args))
+    outcome = plan.run(args.workers, args.plant)
     print(
-        f"{lemma}: exceptional {outcome.exceptional_count}/{len(outcome.per_x)} "
+        f"{plan.lemma}: exceptional {outcome.exceptional_count}/{len(outcome.per_x)} "
         f"fraction={outcome.exceptional_fraction:.4f} (statement threshold eps'|X| = "
         f"{outcome.threshold_reference:.1f})"
     )
     report = make_report(
-        f"{lemma}_inheritance",
+        f"{plan.lemma}_inheritance",
         args.mode,
         list(outcome.evidence),
         measured=outcome.exceptional_fraction,
         bound=args.ceiling,
         bound_kind="upper",
         parameters=outcome.parameters,
-        seed=seed,
+        seed=plan.seed,
     )
     return _emit(report, args.out)
 
 
 def _cmd_audit(args) -> int:
     if args.lemma in ("many_bad_pairs", "few_bad_pairs"):
-        system = _make_system(args)
+        system = experiments.make_system(
+            args.nx, args.ny, args.nz, args.p, args.d, args.seed, args.plant
+        )
         report = experiments.bad_pair_bounds_audit(
             system,
             args.d,
@@ -306,11 +293,10 @@ def _cmd_audit(args) -> int:
         report = quads.c4_regular_bijumbled_audit(
             pair, args.eps, args.d, args.p, c=args.c, mode=args.mode, seed=args.seed
         )
-    elif args.lemma == "cs_defect":
+    else:  # cs_defect
         if not args.values or args.a is None or args.mu is None:
             raise ParameterError("cs_defect needs --values, --a, --mu (and --delta)")
-        values = [float(tok) for tok in args.values.split(",")]
-        result = quads.cs_defect_check(values, args.a, args.delta, args.mu)
+        result = quads.cs_defect_check(args.values, args.a, args.delta, args.mu)
         report = make_report(
             "cs_defect",
             args.mode,
@@ -322,11 +308,9 @@ def _cmd_audit(args) -> int:
             measured=result.lhs,
             bound=result.rhs,
             bound_kind="lower",
-            parameters={"a": args.a, "delta": args.delta, "mu": args.mu, "k": len(values)},
+            parameters={"a": args.a, "delta": args.delta, "mu": args.mu, "k": len(args.values)},
             seed=args.seed,
         )
-    else:
-        raise ParameterError(f"unknown audit lemma {args.lemma!r}")
     return _emit(report, args.out)
 
 
@@ -360,10 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=("exhaustive", "branch_and_bound", "heuristic"))
     p.set_defaults(func=_cmd_params)
 
+    def add_pair(p, required=True):
+        p.add_argument("--graph", required=required)
+        p.add_argument("--left", type=parse_vertex_spec, required=required)
+        p.add_argument("--right", type=parse_vertex_spec, required=required)
+
     p = sub.add_parser("certify", help="bijumbledness certificate for a pair")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
+    add_pair(p)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--method", choices=("exact", "spectral", "search"), default="spectral")
     p.add_argument("--gamma", type=float, default=0.0, help="threshold for the search method")
@@ -373,9 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("regularity", help="regularity verdict for a pair")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
+    add_pair(p)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--d", type=float, default=None)
@@ -385,9 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_regularity)
 
     p = sub.add_parser("census", help="C4 count and pair-class census")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
+    add_pair(p)
     p.add_argument("--c4", action="store_true")
     p.add_argument("--q", type=float, default=None)
     p.add_argument("--delta", type=float, default=0.5)
@@ -406,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suffix", help="suffix-pattern count and bound audit")
     p.add_argument("--instance", required=True)
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--w", action="append", help="'vertex:spec', repeatable")
+    p.add_argument("--w", type=parse_w_set, action="append", help="'vertex:spec', repeatable")
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--eps", type=float, default=None)
     add_out(p)
@@ -418,20 +401,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_optialpha)
 
     p = sub.add_parser("inherit", help="inheritance experiment on a seeded system")
-    p.add_argument("--plan", default=None, help="flat 'key = value' experiment plan file")
-    p.add_argument("--lemma", choices=("one_sided", "two_sided"))
-    p.add_argument("--nx", type=int)
-    p.add_argument("--ny", type=int)
-    p.add_argument("--nz", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--d", type=float)
-    p.add_argument("--eps-prime", type=float, dest="eps_prime")
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--method", choices=("exact", "sampled"), default="sampled")
-    p.add_argument("--trials", type=int, default=12)
+    p.add_argument("--plan", help="flat 'key = value' plan file; the flags below take its keys")
+    for key, kind in experiments.ExperimentPlan._FIELD_TYPES.items():
+        if key != "seed":  # the plan's keys as flags; --seed comes from add_out
+            p.add_argument("--" + key.replace("_", "-"), type=kind)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--ceiling", type=float, default=0.5, help="relaxed exceptional-fraction ceiling")
-    p.add_argument("--plant", default=None, help="'fraction:boost:seed' negative control")
+    p.add_argument("--plant", type=parse_plant, help="'fraction:boost:seed' negative control")
     add_out(p)
     p.set_defaults(func=_cmd_inherit)
 
@@ -447,9 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
             "cs_defect",
         ),
     )
-    p.add_argument("--graph")
-    p.add_argument("--left")
-    p.add_argument("--right")
+    add_pair(p, required=False)
     p.add_argument("--nx", type=int, default=60)
     p.add_argument("--ny", type=int, default=60)
     p.add_argument("--nz", type=int, default=60)
@@ -462,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeff", type=float, default=None)
     p.add_argument("--dense-slack", type=float, default=None, dest="dense_slack")
     p.add_argument("--irregular-slack", type=float, default=0.0, dest="irregular_slack")
-    p.add_argument("--plant", default=None)
-    p.add_argument("--values", default=None)
+    p.add_argument("--plant", type=parse_plant)
+    p.add_argument("--values", type=parse_float_list)
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--mu", type=float, default=None)
     add_out(p)
@@ -496,23 +470,16 @@ def run_cli(argv) -> int:
         args = parser.parse_args(argv)
         return args.func(_apply_config(args))
     except SystemExit as exc:  # argparse usage errors / --help
-        code = exc.code
-        return 0 if code in (0, None) else 2
+        return 0 if exc.code in (0, None) else 2
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (BijumbleError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
-    except BijumbleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def main() -> None:

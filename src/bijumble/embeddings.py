@@ -66,6 +66,8 @@ class SuffixInstance:
     w_sets: Mapping[int, VertexSet]
 
     def __post_init__(self):
+        if self.x not in self.base.pattern.sequence:
+            raise ParameterError(f"x = {self.x} is not a pattern vertex")
         for y in self.suffix_vertices():
             if y not in self.w_sets:
                 raise ParameterError(f"missing W-set for suffix vertex {y}")

@@ -59,7 +59,9 @@ from .reports import AuditReport, HypothesisRecord, make_report, parse_key_value
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A reproducible inheritance experiment: generator + audit parameters."""
+    """A reproducible inheritance experiment: generator + audit parameters.
+    Plan files and ``inherit`` flags both build it through ``from_values``;
+    every value is checked here, before ``run`` generates anything."""
 
     lemma: str  # "one_sided" | "two_sided"
     nx: int
@@ -80,13 +82,13 @@ class ExperimentPlan:
             raise ParameterError(f"unknown method {self.method!r}")
         if min(self.nx, self.ny, self.nz) < 1:
             raise ParameterError("part sizes must be positive")
-        for name, prob in (("p", self.p), ("d", self.d), ("eps_prime", self.eps_prime), ("eps", self.eps)):
+        for name, prob in (("p", self.p), ("eps_prime", self.eps_prime), ("eps", self.eps)):
             if prob is not None and not 0 < prob < 1:
                 raise ParameterError(f"{name} must lie in (0,1)")
+        if not 0 < self.d <= 1:
+            raise ParameterError("d must lie in (0,1]")
         if self.trials < 1:
             raise ParameterError("trials must be >= 1")
-        if self.seed is None:
-            raise ParameterError("a seed is mandatory")
         if self.seed < 0:
             raise ParameterError(f"seed {self.seed} must be non-negative")
 
@@ -104,18 +106,29 @@ class ExperimentPlan:
         "trials": int,
     }
 
+    _REQUIRED = ("lemma", "nx", "ny", "nz", "p", "d", "eps_prime", "seed")
+
+    @classmethod
+    def from_values(cls, values: dict) -> "ExperimentPlan":
+        """Build a plan from the plan keys of ``values``; a key given as None
+        is absent, and every key of ``_REQUIRED``, the seed included, must be
+        given.  Other keys are ignored, so parsed CLI flags pass as they are."""
+        given = {key: values[key] for key in cls._FIELD_TYPES if values.get(key) is not None}
+        missing = [key for key in cls._REQUIRED if key not in given]
+        if missing:
+            raise ParameterError(f"plan is missing keys: {missing}")
+        return cls(**given)
+
     @classmethod
     def from_text(cls, text: str) -> "ExperimentPlan":
         """Parse a flat ``key = value`` plan file (same syntax as the run
         config); an unknown key or an unconvertible value is an error."""
-        values = parse_key_values(text, cls._FIELD_TYPES, "plan")
-        missing = {"lemma", "nx", "ny", "nz", "p", "d", "eps_prime", "seed"} - values.keys()
-        if missing:
-            raise ParameterError(f"plan is missing keys: {sorted(missing)}")
-        return cls(**values)
+        return cls.from_values(parse_key_values(text, cls._FIELD_TYPES, "plan"))
 
-    def run(self, workers: int = 1) -> "InheritanceOutcome":
-        system = make_system(self.nx, self.ny, self.nz, self.p, self.d, self.seed)
+    def run(self, workers: int = 1, plant: tuple | None = None) -> "InheritanceOutcome":
+        """Generate the system (``make_system``, with the optional plant)
+        and run the plan's lemma on it."""
+        system = make_system(self.nx, self.ny, self.nz, self.p, self.d, self.seed, plant)
         runner = one_sided_experiment if self.lemma == "one_sided" else two_sided_experiment
         return runner(
             system,
@@ -142,14 +155,12 @@ class PerVertexVerdict:
 
 @dataclass(frozen=True)
 class InheritanceOutcome:
-    lemma: str
     per_x: tuple[PerVertexVerdict, ...]
     exceptional_count: int
     exceptional_fraction: float
     threshold_reference: float  # eps' |X| from the statement, for comparison
     evidence: tuple[HypothesisRecord, ...]
     parameters: dict
-    seed: int
 
 
 # -- generators ---------------------------------------------------------------
@@ -199,11 +210,20 @@ def gen_tripartite(nx: int, ny: int, nz: int, p: float, seed: int) -> Tripartite
     )
 
 
-def make_system(nx: int, ny: int, nz: int, p: float, d: float, seed: int) -> TripartiteSystem:
+def make_system(
+    nx: int, ny: int, nz: int, p: float, d: float, seed: int, plant: tuple | None = None
+) -> TripartiteSystem:
     """Host from ``gen_tripartite`` at ``seed``, G its ``sparsify`` at
-    ``seed + 1`` when d < 1 and the host itself otherwise."""
+    ``seed + 1`` when d < 1 and the host itself otherwise, then, given a
+    ``plant`` triple (fraction, boost, seed), ``plant_irregular_block`` on
+    (Y, Z).  Every value is checked before anything is generated."""
+    if not 0 < d <= 1:
+        raise ParameterError("d must lie in (0,1]")
+    if plant is not None:
+        _check_plant(*plant[:2])
     system = gen_tripartite(nx, ny, nz, p, seed)
-    return sparsify(system, d, seed + 1) if d < 1 else system
+    system = sparsify(system, d, seed + 1) if d < 1 else system
+    return system if plant is None else plant_irregular_block(system, ("Y", "Z"), *plant)
 
 
 def sparsify(system: TripartiteSystem, d: float, seed: int) -> TripartiteSystem:
@@ -224,6 +244,13 @@ def sparsify(system: TripartiteSystem, d: float, seed: int) -> TripartiteSystem:
     return TripartiteSystem(system.host, g, system.x, system.y, system.z)
 
 
+def _check_plant(fraction: float, boost: float) -> None:
+    if not 0 < fraction <= 1:
+        raise ParameterError("fraction must lie in (0,1]")
+    if not 0 <= boost <= 1:
+        raise ParameterError(f"boost {boost} causes a probability overflow")
+
+
 def plant_irregular_block(
     system: TripartiteSystem,
     pair: tuple[str, str],
@@ -234,10 +261,7 @@ def plant_irregular_block(
     """Negative control: inside a seeded fraction x fraction sub-block of the
     named pair, host edges currently missing from G are added to G with
     probability ``boost``."""
-    if not 0 < fraction <= 1:
-        raise ParameterError("fraction must lie in (0,1]")
-    if not 0 <= boost <= 1:
-        raise ParameterError(f"boost {boost} causes a probability overflow")
+    _check_plant(fraction, boost)
     a, b = system.part(pair[0]), system.part(pair[1])
     rng = random.Random(seed)
     rows_sel = sorted(rng.sample(list(a.indices), math.ceil(fraction * len(a))))
@@ -301,8 +325,6 @@ def _run_inheritance(
     eps: float | None,
     workers: int,
 ) -> InheritanceOutcome:
-    if method not in ("exact", "sampled"):
-        raise ParameterError(f"unknown method {method!r}")
     eps_hyp = eps if eps is not None else eps_prime
     one_sided = lemma == "one_sided"
     x_part, y_part, z_part = system.x, system.y, system.z
@@ -380,7 +402,6 @@ def _run_inheritance(
     per_x = tuple(v for chunk in chunks for v in chunk)
     exceptional = sum(1 for v in per_x if not v.regular)
     return InheritanceOutcome(
-        lemma=lemma,
         per_x=per_x,
         exceptional_count=exceptional,
         exceptional_fraction=exceptional / len(per_x) if per_x else 0.0,
@@ -395,7 +416,6 @@ def _run_inheritance(
             "trials": trials,
             "sizes": [len(x_part), len(y_part), len(z_part)],
         },
-        seed=seed,
     )
 
 

@@ -87,7 +87,7 @@ def _pair_classes(pair: BipartitePairView, q: float, delta: float):
     codeg >= 4 q^2 |V|, else 1 bad when codeg >= (1+delta) q^2 |V|, else 0 typical."""
     if not 0 < q <= 1:
         raise ParameterError("q must lie in (0,1]")
-    if delta <= 0:
+    if not delta > 0:
         raise ParameterError("delta must be positive")
     nv = len(pair.right)
     c = codegrees(pair.graph, pair.left, pair.right)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import re
 import time
@@ -136,17 +137,17 @@ def verdict_for(mode: str, hypotheses, comparison_ok: bool) -> str:
 
 
 def _compare(measured, bound, bound_kind: str) -> tuple[bool, float | None]:
-    """(passes, margin) of ``measured`` against ``bound`` of ``bound_kind``."""
-    if bound_kind == "lower":
-        return geq(measured, bound), measured - bound
-    if bound_kind == "upper":
-        return leq(measured, bound), bound - measured
-    if bound_kind == "window":
-        lo, hi = bound
-        return within(measured, lo, hi), min(measured - lo, hi - measured)
+    """(passes, margin) of ``measured`` against ``bound`` of ``bound_kind``;
+    a NaN bound is a ParameterError, since every comparison with it fails."""
     if bound_kind == "none":
         return True, None
-    raise ParameterError(f"unknown bound kind {bound_kind!r}")
+    ends = {"lower": (bound, math.inf), "upper": (-math.inf, bound), "window": bound}
+    if bound_kind not in ends:
+        raise ParameterError(f"unknown bound kind {bound_kind!r}")
+    lo, hi = ends[bound_kind]  # a one-sided bound is a window with one infinite end
+    if math.isnan(lo) or math.isnan(hi):
+        raise ParameterError(f"bound {bound!r} is not a number")
+    return within(measured, lo, hi), min(measured - lo, hi - measured)
 
 
 def make_report(

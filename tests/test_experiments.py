@@ -12,6 +12,7 @@ from bijumble.experiments import (
     bad_pair_bounds_audit,
     gen_bipartite,
     gen_tripartite,
+    make_system,
     one_sided_experiment,
     plant_irregular_block,
     sparsify,
@@ -52,6 +53,39 @@ def test_plan_validation():
         ExperimentPlan("one_sided", 5, 5, 5, 0.5, 0.5, 0.3, seed=1, trials=0)
     with pytest.raises(ParameterError, match="eps must lie in"):
         ExperimentPlan("one_sided", 5, 5, 5, 0.5, 0.5, 0.3, seed=1, eps=1.5)
+
+
+def test_plan_from_values_required_keys_and_d_range():
+    values = dict(lemma="one_sided", nx=5, ny=5, nz=5, p=0.5, d=1.0, eps_prime=0.3, seed=1, eps=None)
+    assert ExperimentPlan.from_values(values) == ExperimentPlan("one_sided", 5, 5, 5, 0.5, 1.0, 0.3, seed=1)
+    with pytest.raises(ParameterError, match=r"missing keys: \['d', 'seed'\]"):
+        ExperimentPlan.from_values({**values, "d": None, "seed": None})
+    for d in (0.0, 1.5, math.nan):
+        with pytest.raises(ParameterError, match=r"d must lie in \(0,1\]"):
+            ExperimentPlan("one_sided", 5, 5, 5, 0.5, d, 0.3, seed=1)
+
+
+def test_make_system_checks_every_value_before_generating(monkeypatch):
+    import bijumble.experiments as experiments
+
+    def refuse(*args):
+        raise AssertionError("a system was generated")
+
+    monkeypatch.setattr(experiments, "_bernoulli_parts", refuse)
+    args = dict(nx=5, ny=8, nz=8, p=0.5, d=0.5, seed=3)
+    for bad in (dict(d=1.5), dict(d=0.0), dict(p=1.5), dict(nx=0),
+                dict(plant=(0.0, 0.5, 1)), dict(plant=(0.5, 1.5, 1)), dict(plant=(math.nan, 0.5, 1))):
+        with pytest.raises(ParameterError):
+            make_system(**{**args, **bad})
+
+
+def test_make_system_applies_the_plant():
+    base = make_system(5, 8, 8, 0.5, 0.5, 3)
+    planted = make_system(5, 8, 8, 0.5, 0.5, 3, plant=(0.5, 1.0, 9))
+    assert planted.sub.rows == plant_irregular_block(base, ("Y", "Z"), 0.5, 1.0, 9).sub.rows
+    assert planted.sub.rows != base.sub.rows and planted.host.rows == base.host.rows
+    whole = make_system(5, 8, 8, 0.5, 1.0, 3)
+    assert whole.sub is whole.host
 
 
 def test_plan_rejects_unused_keys():

@@ -22,5 +22,6 @@ def test_reports_match_goldens():
     assert sorted(got) == sorted(want)
     changed = sorted(name for name in want if got[name] != want[name])
     assert not changed, f"report digests changed: {changed}"
-    # the same inheritance run, once as flags and once as a plan file
+    # the same inheritance runs, once as flags and once as a plan file
     assert got["inherit/one_sided_flags"] == got["inherit/one_sided_plan"]
+    assert got["inherit/d1_flags"] == got["inherit/d1_plan"]

@@ -446,3 +446,135 @@ def test_cli_negative_seed_is_a_usage_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2 and f"seed {seed} must be non-negative" in err
     assert not list(tmp_path.glob("*.json"))
+
+
+def _tri_instance(directory, part_line="part 2: 6 7 8"):
+    """A K3 instance in a new ``directory``, its last part line replaceable."""
+    directory.mkdir()
+    pat = directory / "tri.pat"
+    pat.write_text(format_pattern(Pattern.identity(complete_graph(3))))
+    host = directory / "host.el"
+    host.write_text(format_edge_list(Graph.from_edges(9, [(0, 3), (3, 6), (0, 6)])))
+    inst = directory / "tri.inst"
+    inst.write_text(f"pattern: tri.pat\nhost: host.el\npart 0: 0 1 2\npart 1: 3 4 5\n{part_line}\n")
+    return inst
+
+
+def test_cli_malformed_values_exit_2_without_traceback(tmp_path):
+    """Each value is parsed once, by its argparse type or by the file
+    parser, and a malformed one is a usage error, never a traceback."""
+    graph = tmp_path / "m3.el"
+    graph.write_text("n=6\n0 3\n1 4\n2 5\n")
+    inst = _tri_instance(tmp_path / "tri")
+    inherit = ["inherit", "--lemma", "one_sided", "--nx", "6", "--ny", "6", "--nz", "6",
+               "--p", "0.4", "--d", "0.9", "--eps-prime", "0.3", "--trials", "2", "--out", str(tmp_path)]
+    pair = ["--graph", str(graph), "--left", "0..2", "--right", "3..5"]
+    cases = [
+        (inherit + ["--plant", "0.5"], "--plant"),
+        (inherit + ["--plant", "a:b:c"], "--plant"),
+        (["audit", "--lemma", "many_bad_pairs", "--plant", "0.5:0.5"], "--plant"),
+        (["audit", "--lemma", "cs_defect", "--values", "1,2,x", "--a", "1", "--mu", "0.5"], "--values"),
+        (["audit", "--lemma", "c4_dense_irregular", "--eps", "0.25"], "--graph"),
+        (["census", "--graph", str(graph), "--left", "a..b", "--right", "3..5", "--c4"], "--left"),
+        (["suffix", "--instance", str(inst), "--x", "1", "--w", "x:2"], "--w"),
+        (["suffix", "--instance", str(inst), "--x", "7", "--w", "1:3"], "x = 7"),
+        (["count", "--instance", str(_tri_instance(tmp_path / "x", "part x: 0 1"))], "line 5"),
+        (["count", "--instance", str(_tri_instance(tmp_path / "no2", "# no part 2"))], "vertices [2]"),
+        (inherit + ["--ceiling", "nan"], "not a number"),
+        (["census", *pair, "--q", "0.3", "--delta", "nan"], "delta must be positive"),
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    for argv, message in cases:
+        done = subprocess.run(
+            [sys.executable, "-m", "bijumble.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, "Traceback" in done.stderr) == (2, False), (argv, done.stderr)
+        assert message in done.stderr, (argv, done.stderr)
+    assert not list(tmp_path.glob("*.json"))
+
+
+def _inherit_paths(tmp_path, **values):
+    """argv of the same inheritance run as flags and as a plan file."""
+    plan = dict(lemma="one_sided", nx=6, ny=12, nz=12, p=0.4, d=0.9, eps_prime=0.3, trials=2, seed=1)
+    plan.update(values)
+    path = tmp_path / "run.plan"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in plan.items()))
+    flags = ["inherit"] + [
+        item for key, value in plan.items() for item in (f"--{key.replace('_', '-')}", str(value))
+    ]
+    return flags, ["inherit", "--plan", str(path)]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [dict(trials=0), dict(eps=1.5), dict(eps_prime=1.5), dict(d=1.5), dict(p=1.5), dict(nx=0),
+     dict(d="nan"), dict(method="annealed"), dict(lemma="three_sided")],
+    ids=lambda values: ",".join(f"{k}={v}" for k, v in values.items()),
+)
+def test_cli_inherit_checks_values_before_generating(tmp_path, monkeypatch, capsys, values):
+    from bijumble import experiments
+
+    def refuse(*args):
+        raise AssertionError("a system was generated")
+
+    monkeypatch.setattr(experiments, "_bernoulli_parts", refuse)
+    for argv in _inherit_paths(tmp_path, **values):
+        code = run_cli(argv + ["--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: "), (argv, err)
+    assert not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("plant", ["0.5", "a:b:c", "0:0.9:1", "1.5:0.9:1", "0.5:1.5:1", "0.5:nan:1"])
+def test_cli_plant_checked_before_generating(tmp_path, monkeypatch, capsys, plant):
+    from bijumble import experiments
+
+    def refuse(*args):
+        raise AssertionError("a system was generated")
+
+    monkeypatch.setattr(experiments, "_bernoulli_parts", refuse)
+    flags, plan = _inherit_paths(tmp_path)
+    for argv in (flags, plan, ["audit", "--lemma", "few_bad_pairs"]):
+        assert run_cli(argv + ["--plant", plant, "--out", str(tmp_path)]) == 2, argv
+    capsys.readouterr()
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_cli_inherit_d_one_same_report_on_both_paths(tmp_path, capsys):
+    reports = []
+    for i, argv in enumerate(_inherit_paths(tmp_path, d=1.0)):
+        out = tmp_path / f"out{i}"
+        assert run_cli(argv + ["--ceiling", "1.0", "--out", str(out)]) == 0
+        (path,) = out.glob("*.json")
+        reports.append(_mask_wall(path.read_text()))
+    assert capsys.readouterr().out.count("one_sided: exceptional") == 2
+    assert reports[0] == reports[1] and '"d": 1.0' in reports[0]
+
+
+def test_cli_params_pattern_above_capacity_is_rejected_first(tmp_path, monkeypatch, capsys):
+    from bijumble import patterns
+
+    def refuse(*args):
+        raise AssertionError("the line graph was built")
+
+    monkeypatch.setattr(patterns, "line_graph", refuse)
+    n = 64  # K64 has 2016 edges, just above the cap
+    big = tmp_path / "k64.pat"
+    big.write_text(format_pattern(Pattern.identity(complete_graph(n))))
+    assert n * (n - 1) // 2 > patterns.MAX_PATTERN_EDGES
+    for extra in ([], ["--strategy", "heuristic"]):
+        assert run_cli(["params", "--pattern", str(big), *extra]) == 3
+        assert "limited to 2000 edges, got 2016" in capsys.readouterr().err
+    # the paper's patterns sit far below the cap
+    petersen_edges = 15
+    assert max(complete_graph(4).edge_count(), triangle_book(10).edge_count(), petersen_edges) * 50 < (
+        patterns.MAX_PATTERN_EDGES
+    )
+
+
+def test_make_report_rejects_nan_bound():
+    for kind, bound in (("upper", float("nan")), ("lower", float("nan")), ("window", [0.0, float("nan")])):
+        with pytest.raises(ParameterError, match="not a number"):
+            make_report("lemma", "relaxed", [], measured=0.5, bound=bound, bound_kind=kind,
+                        parameters={}, seed=0)
