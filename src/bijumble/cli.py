@@ -10,6 +10,7 @@ summary; exit codes are 0 = all pass, 1 = any fail, 2 = usage/parse error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -235,13 +236,16 @@ def _cmd_optialpha(args) -> int:
 
 
 def _cmd_inherit(args) -> int:
-    if args.plan:
-        if args.plant:
-            raise ParameterError("--plant cannot be combined with --plan; pass the plan as flags")
+    if args.plan:  # the file's seed wins: --seed cannot be told from its default
+        keys = [key for key in experiments.ExperimentPlan._FIELD_TYPES if key != "seed"] + ["plant"]
+        if flags := ["--" + k.replace("_", "-") for k in keys if getattr(args, k) is not None]:
+            raise ParameterError(f"{' '.join(flags)} cannot be combined with --plan; pass the plan as flags")
         with open(args.plan, "r", encoding="utf-8") as fh:
             plan = experiments.ExperimentPlan.from_text(fh.read())
     else:
         plan = experiments.ExperimentPlan.from_values(vars(args))
+    if math.isnan(args.ceiling):  # make_report would refuse it only after the run
+        raise ParameterError(f"ceiling {args.ceiling!r} is not a number")
     outcome = plan.run(args.workers, args.plant)
     print(
         f"{plan.lemma}: exceptional {outcome.exceptional_count}/{len(outcome.per_x)} "
@@ -401,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_optialpha)
 
     p = sub.add_parser("inherit", help="inheritance experiment on a seeded system")
-    p.add_argument("--plan", help="flat 'key = value' plan file; the flags below take its keys")
+    p.add_argument("--plan", help="flat 'key = value' plan file, used instead of the plan-key flags below")
     for key, kind in experiments.ExperimentPlan._FIELD_TYPES.items():
         if key != "seed":  # the plan's keys as flags; --seed comes from add_out
             p.add_argument("--" + key.replace("_", "-"), type=kind)

@@ -5,9 +5,9 @@ A pair (U, V) is (p, gamma)-bijumbled if every subset pair (U', V') has
 
 * ``exact_jumble_gamma``   - the optimal gamma, by the exact subset
   enumeration of ``bijumble._subsets``.
-* ``spectral_jumble_bound`` - a proven upper bound on the largest singular
-  value of the p-centred biadjacency array (a shifted Cholesky of its Gram
-  matrix), which bounds |1_U'^T (A - pJ) 1_V'| by sigma_max sqrt(|U'||V'|).
+* ``spectral_jumble_bound`` - a proven upper bound on sigma_max(A - pJ), the
+  same for every BLAS thread count (a shifted Cholesky of the Gram matrix),
+  which bounds |1_U'^T (A - pJ) 1_V'| by sigma_max sqrt(|U'||V'|).
 * ``search_jumble_violation`` - seeded hill climbing that can only ever
   produce witnesses (lower bounds).
 """
@@ -110,14 +110,18 @@ def exact_jumble_gamma(pair: BipartitePairView, p: float) -> JumbleCertificate:
 
 
 def _gram(block: np.ndarray, p: float) -> np.ndarray:
-    """Upper triangle of fl(M~ M~^T), M~ = fl(block - p), over 2 MiB chunks of M~."""
+    """Upper triangle of G~ (see ``spectral_jumble_bound``), over 2 MiB chunks of the 0/1 block."""
     m, n = block.shape
     step = max(1, (1 << 18) // m)
     g = np.zeros((m, m))
     for c in range(0, n, step):
-        f = np.subtract(block[:, c : c + step], p)
+        f = block[:, c : c + step].astype(np.float64)
         for i in range(0, m, step):
             g[i : i + step, i:] += f[i : i + step] @ f[i:].T
+    npd, npp = -p * g.diagonal(), n * (p * p)  # C's diagonal holds the row degrees
+    for i in range(0, m, step):  # centre, in place, only the rows filled above
+        for term in (npd[i : i + step, None], npd[i:], npp):
+            g[i : i + step, i:] += term
     return g
 
 
@@ -140,25 +144,31 @@ def _up(x: float) -> float:
 def spectral_jumble_bound(pair: BipartitePairView, p: float) -> JumbleCertificate:
     """Proven upper bound on sigma_max(A - pJ), hence on the optimal gamma.
 
-    Proof.  Transpose so that A is m x n, m <= n; M = A - pJ and M~ =
-    fl(A - p) has entries -p and fl(1-p).  Let u = 2^-53, g_k = ku/(1-ku).
-    1. G~, symmetric with the upper triangle of fl(M~M~^T) in any summation
-       order, has |G~ - M~M~^T| <= g_n |M~||M~|^T, so ||M~||_F^2 <=
-       tr(G~)/(1 - g_n) and ||G~ - M~M~^T||_2 <= g_n ||M~||_F^2.
+    Proof.  Transpose so that A is m x n, m <= n, and M = A - pJ; d and c hold
+    the row and column degrees of A.  Let u = 2^-53, g_k = ku/(1-ku).
+    1. C = AA^T is an integer array, exact in float64 in any summation order
+       (partial sums <= n < 2^53).  G~, symmetric with the upper triangle of
+       fl(fl(fl(C - fl(p d_i)) - fl(p d_j)) + fl(n fl(pp))), rounds each term
+       of MM^T = C - p(d_i + d_j) + np^2 at most four times, so |G~ - MM^T| <=
+       g_5 (C + p d_i + p d_j + np^2).  Row i of C sums to sum_k A_ik c_k <=
+       d_max c_max, so ||G~ - MM^T||_2, at most the largest row sum, is <= E =
+       g_5 (d_max c_max + p(m d_max + sum d) + mnp^2); E = 0 at p = 1.
     2. B~ = sI - G~ is exact but for b~_ii = fl(s - g~_ii), off by <= u b~_ii.
     3. A completed floating-point Cholesky gives R~^T R~ = B~ + dB, |dB| <=
        g_{m+1} |R~^T||R~| (Higham, Accuracy and Stability of Numerical
        Algorithms, Thm 10.3); by traces ||R~||_F^2 <= tr(B~)/(1 - g_{m+1}),
-       so ||dB||_2 <= c tr(B~), c = g_{m+1}/(1 - g_{m+1}), and B~ + c tr(B~) I
+       so ||dB||_2 <= h tr(B~), h = g_{m+1}/(1 - g_{m+1}), and B~ + h tr(B~) I
        is positive semidefinite (Rump, BIT 46, 2006).
-    4. Weyl: sigma_max(M~)^2 <= s + c tr(B~) + u max b~_ii + g_n ||M~||_F^2.
-    5. M - M~ = (1 - p - fl(1-p)) A and ||A||_2 <= sqrt(mn).
+    4. Weyl: sigma_max(M)^2 <= s + h tr(B~) + u max b~_ii + E.
     Underflowing products and quotients err by <= 2^-1075 each, far below
     the 2^-1000 added for any array that fits in memory.  The scalar tail is
     exact rational arithmetic, each rounding to float nudged upward.  s sits
     just above ``eigvalsh``'s top eigenvalue of G~ and at least 2^-100, clear
-    of the subnormals; a failed Cholesky widens s once, and a second failure
-    raises BijumbleError.  ``iterations`` counts the attempts.
+    of the subnormals, rounded up to a multiple of 2^(e-36), 2^(e-1) <= s <
+    2^e, which keeps the last-bit wobble of that eigenvalue between BLAS
+    thread counts (up to 3.1*10^-15 relative on 30 pairs) from gamma but about
+    once in 2*10^4 calls; a failed Cholesky widens s once, and a second
+    failure raises BijumbleError.  ``iterations`` counts the attempts.
     """
     if not 0 < p <= 1:
         raise ParameterError("p must lie in (0,1]")
@@ -168,12 +178,13 @@ def spectral_jumble_bound(pair: BipartitePairView, p: float) -> JumbleCertificat
     m, n = block.shape
     g = _gram(block, p)
     lam = max(float(np.linalg.eigvalsh(g, UPLO="U")[-1]), 0.0)
-    margin = max(lam * m * (m + 1) * 2.0**-53, 2.0**-100)  # about c tr(B~)
+    margin = max(lam * m * (m + 1) * 2.0**-53, 2.0**-100)  # about h tr(B~)
     g_diag = g.diagonal().copy()
     for attempt in (1, 2):
         if attempt == 2:  # the failed factorisation overwrote g
             g, margin = _gram(block, p), margin * 1024
-        s = lam + margin
+        e = math.frexp(lam + margin)[1]  # the grid of 2^(e-36)
+        s = math.ldexp(math.ceil(math.ldexp(lam + margin, 36 - e)), e - 36)
         b_diag = s - g_diag
         np.negative(g, out=g)  # exact
         np.fill_diagonal(g, b_diag)
@@ -181,13 +192,13 @@ def spectral_jumble_bound(pair: BipartitePairView, p: float) -> JumbleCertificat
             break
     else:
         raise BijumbleError(f"Cholesky of the shifted {m}x{m} Gram matrix failed twice")
-    g_n, g_m1 = Fraction(n, 2**53 - n), Fraction(m + 1, 2**53 - (m + 1))
-    c_trace = g_m1 / (1 - g_m1) * Fraction(_up(math.fsum(b_diag)))
-    frobenius = Fraction(_up(math.fsum(g_diag))) / (1 - g_n)
-    square = Fraction(s) + c_trace + Fraction(b_diag.max()) / 2**53 + g_n * frobenius
-    drift = abs(Fraction(1.0 - p) - (1 - Fraction(p))) * (math.isqrt(m * n) + 1)
-    root = _up(math.sqrt(_up(float(square + Fraction(1, 2**1000)))))
-    gamma = _up(float(Fraction(root) + drift))
+    g_m1 = Fraction(m + 1, 2**53 - (m + 1))
+    h_trace = g_m1 / (1 - g_m1) * Fraction(_up(math.fsum(b_diag)))
+    d, c, q = block.sum(axis=1), block.sum(axis=0), Fraction(p)
+    rows = int(d.max()) * (int(c.max()) + m * q) + q * (int(d.sum()) + m * n * q)
+    assembly = 0 if p == 1 else Fraction(5, 2**53 - 5) * rows  # E of step 1
+    square = Fraction(s) + h_trace + Fraction(b_diag.max()) / 2**53 + assembly
+    gamma = _up(math.sqrt(_up(float(square + Fraction(1, 2**1000)))))
     return JumbleCertificate(
         method="spectral", p=p, gamma=gamma, witness=None, sound_upper=True, iterations=attempt
     )

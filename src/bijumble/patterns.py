@@ -42,10 +42,10 @@ from .graphs import Graph, iter_bits
 EXHAUSTIVE_LIMIT = 9
 BRANCH_AND_BOUND_LIMIT = 12
 MAX_PATTERN_EDGES = 2000
-"""Edge cap of ``exponent_report``, checked before the line graph is built.
-That graph tests all E^2/2 edge pairs in pure Python: 1,638 edges took 1.1 s
-and 3,842 took 6.8 s on a 2-core machine, so 2,000 keeps ``params`` within
-seconds.  The paper's patterns (K4, book10, Petersen) have at most 30 edges."""
+"""Edge cap of ``exponent_report`` and ``optimize_order``, checked before any
+search.  The line graph tests all E^2/2 edge pairs in pure Python: 1,638 edges
+took 1.1 s and 3,842 took 6.8 s on a 2-core machine, so 2,000 keeps ``params``
+within seconds.  The paper's patterns (K4, book10, Petersen) have <= 30 edges."""
 
 
 @total_ordering
@@ -218,14 +218,17 @@ def line_graph_two_sided_exponent(graph: Graph) -> MilliValue:
     return MilliValue(min((dmax + 4) * 500, (degen + 6) * 500))
 
 
+def _check_edge_cap(graph: Graph) -> None:
+    if graph.edge_count() > MAX_PATTERN_EDGES:
+        raise CapacityError(f"patterns are limited to {MAX_PATTERN_EDGES} edges, got {graph.edge_count()}")
+
+
 def exponent_report(pattern: Pattern) -> ExponentReport:
     g = pattern.graph
-    edges = g.edge_count()
-    if edges > MAX_PATTERN_EDGES:
-        raise CapacityError(f"patterns are limited to {MAX_PATTERN_EDGES} edges, got {edges}")
+    _check_edge_cap(g)
     kr, dt = _exponents(pattern)
     degen, _ = degeneracy(g)
-    lg_exponent = None if edges == 0 else line_graph_two_sided_exponent(g)
+    lg_exponent = None if g.edge_count() == 0 else line_graph_two_sided_exponent(g)
     return ExponentReport(
         k_reg=MilliValue(kr),
         d_tilde=dt,
@@ -314,6 +317,7 @@ def optimize_order(graph: Graph, objective: str, strategy: str) -> tuple[tuple[i
     n, limit = graph.vertex_count, limits[strategy]
     if limit is not None and n > limit:
         raise CapacityError(f"{strategy} strategy limited to {limit} vertices, got {n}")
+    _check_edge_cap(graph)
     seq = _search(graph, objective, strategy)
     return seq, exponent_report(Pattern(graph, seq))
 

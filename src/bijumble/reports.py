@@ -15,9 +15,9 @@ always passes.  The margin is positive on the passing side: measured -
 bound (lower), bound - measured (upper), the smaller distance to either end
 of the window, and None for "none".
 
-Reports serialise to one JSON document each (fixed key order, UTF-8) plus a
-run-level index.csv row; re-serialising a parsed report is byte-identical
-except for the wall-clock field.
+Reports serialise to one JSON document each (``to_record``'s key order,
+UTF-8) plus a run-level index.csv row; re-serialising a parsed report is
+byte-identical except for the wall-clock field.
 """
 
 from __future__ import annotations
@@ -32,25 +32,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from ._numeric import ABS_TOL, REL_TOL, geq, leq, within
+from ._numeric import ABS_TOL, REL_TOL, within
 from .errors import ParameterError
-
-REPORT_KEY_ORDER = (
-    "lemma",
-    "mode",
-    "verdict",
-    "measured",
-    "bound",
-    "bound_kind",
-    "margin",
-    "parameters",
-    "hypotheses",
-    "seed",
-    "tolerance_rel",
-    "tolerance_abs",
-    "toolkit_version",
-    "wall_clock_s",
-)
 
 
 @dataclass(frozen=True)
@@ -179,9 +162,7 @@ def make_report(
 
 
 def serialize_report(report: AuditReport) -> str:
-    rec = report.to_record()
-    ordered = {key: rec[key] for key in REPORT_KEY_ORDER}
-    return json.dumps(ordered, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(report.to_record(), indent=2, ensure_ascii=False) + "\n"
 
 
 def write_report(report: AuditReport, out_dir) -> Path:

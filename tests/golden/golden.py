@@ -1,7 +1,7 @@
 """Report goldens: run every call of ``manifest.json`` through the CLI and
 digest what it printed and wrote.
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden/golden.py
+    PYTHONPATH=src python tests/golden/golden.py
 
 prints one JSON object, call name -> SHA-256 hex digest.  A call's digest
 covers its exit code, its stdout and every file in its report directory
@@ -14,9 +14,7 @@ the regenerated inputs, and ``{out}``, a fresh report directory per call.
 The inputs come from seeds: the benchmark workloads of ``perfbench/
 workloads.py`` at ``WORKLOAD_SEEDS`` (their argv must equal the manifest's
 entries of the same name), plus the small instances of ``write_small``.
-
-Spectral certificates still move in their last bits with the BLAS thread
-count, so the digests hold only with BLAS on one thread.
+The digests hold for any BLAS thread count.
 """
 
 from __future__ import annotations

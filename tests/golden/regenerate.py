@@ -2,10 +2,9 @@
 
     python tests/golden/regenerate.py
 
-Runs ``golden.py`` in one child interpreter with BLAS on one thread, prints
-every entry whose digest changed, appeared or vanished, and writes the new
-digests.  A rewrite is deliberate: CHANGES.md lists every changed entry and
-the reason for it.
+Runs ``golden.py`` in one child interpreter, prints every entry whose digest
+changed, appeared or vanished, and writes the new digests.  A rewrite is
+deliberate: CHANGES.md lists every changed entry and the reason for it.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ DIGESTS = HERE / "digests.json"
 def compute() -> dict[str, str]:
     """Digests of every manifest call, computed in a fresh interpreter."""
     env = {k: v for k, v in os.environ.items() if k != "BIJUMBLE_OUT_DIR"}
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(HERE / "golden.py")],

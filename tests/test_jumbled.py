@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,10 +157,35 @@ def test_spectral_bound_is_sound_and_tight():
             m, n = (int(x) for x in rng.integers(1, 61, size=2))
         density = (0.0, 1.0, rng.random())[min(seed % 9, 2)]  # empty, complete, random
         _assert_tight_upper(rng.random((m, n)) < density, p)
+    for m, n in shapes:  # the sweep never meets a complete pair at p = 1, where G~ = 0 exactly
+        _assert_tight_upper(np.ones((m, n), dtype=bool), 1.0)
 
 
 def test_spectral_bound_on_a_dense_1000_pair():
     _assert_tight_upper(np.random.default_rng(1000).random((1000, 1000)) < 0.3, 0.3)
+
+
+BLAS_THREADS_CHILD = """
+import numpy as np
+from bijumble.graphs import Graph, pair_on
+from bijumble.jumbled import spectral_jumble_bound
+for m, n, p, seed in ((1000, 1000, 0.3, 1), (1000, 1000, 0.2, 3), (300, 800, 0.3, 4)):
+    us, vs = np.nonzero(np.random.default_rng(seed).random((m, n)) < p)
+    graph = Graph.from_edges(m + n, zip(us.tolist(), (vs + m).tolist()))
+    print(repr(spectral_jumble_bound(pair_on(graph, range(m), range(m, m + n)), p).gamma))
+"""
+
+
+def test_spectral_bound_is_the_same_for_one_and_two_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src}
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", BLAS_THREADS_CHILD], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        outputs.append(done.stdout.split())
+    assert len(outputs[0]) == 3 and outputs[0] == outputs[1], outputs
 
 
 def test_cholesky_factors_definite_and_rejects_indefinite():

@@ -235,6 +235,19 @@ def test_optimize_capacity_errors():
         optimize_order(K3, "one_sided", "annealing")
 
 
+def test_optimize_order_checks_the_edge_cap_before_searching(monkeypatch):
+    from bijumble import patterns
+
+    def refuse(*args):
+        raise AssertionError("the order search ran")
+
+    monkeypatch.setattr(patterns, "_search", refuse)
+    big = complete_graph(64)  # 2016 edges, just above the cap
+    for objective in ("one_sided", "two_sided"):
+        with pytest.raises(CapacityError, match="patterns are limited to 2000 edges, got 2016"):
+            optimize_order(big, objective, "heuristic")
+
+
 def test_exponent_report_invariants():
     rep = exponent_report(Pattern.identity(BOOK10))
     assert rep.two_sided_exponent.mills >= rep.one_sided_exponent.mills

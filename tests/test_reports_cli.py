@@ -352,6 +352,15 @@ def test_cli_inherit_plan_rejects_plant(tmp_path, capsys):
     assert code == 2 and "--plan" in err and "--plant" in err
 
 
+@pytest.mark.parametrize("flag", [["--trials", "1"], ["--lemma", "two_sided"], ["--nx", "5"]], ids=lambda f: f[0])
+def test_cli_inherit_plan_rejects_plan_key_flags(tmp_path, capsys, flag):
+    missing = tmp_path / "missing.plan"  # the flags are refused before the file is read
+    code = run_cli(["inherit", "--plan", str(missing), *flag, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2 and f"{flag[0]} cannot be combined with --plan" in err, err
+    assert not list(tmp_path.glob("*"))
+
+
 def test_cli_malformed_config_value_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg"
     cfg.write_text("seed = 1\nworkers = two\n")
@@ -509,7 +518,7 @@ def _inherit_paths(tmp_path, **values):
 @pytest.mark.parametrize(
     "values",
     [dict(trials=0), dict(eps=1.5), dict(eps_prime=1.5), dict(d=1.5), dict(p=1.5), dict(nx=0),
-     dict(d="nan"), dict(method="annealed"), dict(lemma="three_sided")],
+     dict(d="nan"), dict(method="annealed"), dict(lemma="three_sided"), dict(ceiling="nan")],
     ids=lambda values: ",".join(f"{k}={v}" for k, v in values.items()),
 )
 def test_cli_inherit_checks_values_before_generating(tmp_path, monkeypatch, capsys, values):
@@ -519,8 +528,10 @@ def test_cli_inherit_checks_values_before_generating(tmp_path, monkeypatch, caps
         raise AssertionError("a system was generated")
 
     monkeypatch.setattr(experiments, "_bernoulli_parts", refuse)
-    for argv in _inherit_paths(tmp_path, **values):
-        code = run_cli(argv + ["--out", str(tmp_path)])
+    plan = {key: value for key, value in values.items() if key != "ceiling"}
+    extra = ["--ceiling", values["ceiling"]] if "ceiling" in values else []  # not a plan key
+    for argv in _inherit_paths(tmp_path, **plan):
+        code = run_cli(argv + extra + ["--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error: "), (argv, err)
     assert not list(tmp_path.glob("*.json"))
