@@ -216,6 +216,7 @@ def suffix_bound_audit(
 
     beta_certified = beta is None  # spectrally measured = sound; supplied = assumed
     if beta is None:
+        # looked up per call, so perfbench/spans.py's wrapper of jumbled's binding sees it
         from .jumbled import spectral_jumble_bound
 
         beta = 0.0

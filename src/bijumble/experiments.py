@@ -29,7 +29,7 @@ import math
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -42,9 +42,7 @@ from .graphs import (
     TripartiteSystem,
     VertexSet,
     bool_matrix,
-    iter_bits,
     pair_block,
-    rows_from_bool_matrix,
 )
 from .jumbled import min_size_bound, spectral_jumble_bound
 from .quads import _regularity_refutation, codegrees
@@ -179,7 +177,7 @@ def _bernoulli_parts(sizes: tuple[int, ...], p: float, seed: int) -> Graph:
         block = rng.random((sizes[a], sizes[b])) < p
         mat[rows, cols] = block
         mat[cols, rows] = block.T
-    return Graph._trusted(n, rows_from_bool_matrix(mat))
+    return Graph._of_matrix(mat)
 
 
 def gen_bipartite(m: int, n: int, p: float, seed: int) -> BipartitePairView:
@@ -228,20 +226,14 @@ def make_system(
 
 def sparsify(system: TripartiteSystem, d: float, seed: int) -> TripartiteSystem:
     """Keep each host edge independently with probability d; G <= host by
-    construction.  Edges are visited in sorted order, so the outcome is a
-    pure function of (host, d, seed)."""
+    construction.  One ``default_rng(seed)`` draw per host edge u < v, in
+    row-major (sorted) edge order, so the outcome is a pure function of
+    (host, d, seed)."""
     if not 0 < d <= 1:
         raise ParameterError("d must lie in (0,1]")
-    host_mat = bool_matrix(system.host)
-    iu, iv = np.nonzero(np.triu(host_mat, 1))  # row-major = sorted edge order
-    rng = np.random.default_rng(seed)
-    keep = rng.random(len(iu)) < d
-    n = system.host.vertex_count
-    sub = np.zeros((n, n), dtype=bool)
-    sub[iu[keep], iv[keep]] = True
-    sub |= sub.T
-    g = Graph._trusted(n, rows_from_bool_matrix(sub))
-    return TripartiteSystem(system.host, g, system.x, system.y, system.z)
+    upper = np.triu(bool_matrix(system.host), 1)
+    upper[upper] = np.random.default_rng(seed).random(np.count_nonzero(upper)) < d
+    return replace(system, sub=Graph._of_matrix(upper | upper.T))
 
 
 def _check_plant(fraction: float, boost: float) -> None:
@@ -260,25 +252,23 @@ def plant_irregular_block(
 ) -> TripartiteSystem:
     """Negative control: inside a seeded fraction x fraction sub-block of the
     named pair, host edges currently missing from G are added to G with
-    probability ``boost``."""
+    probability ``boost``.  The pair must name two distinct parts.  One
+    ``random.Random(seed)`` samples the block's rows, then its columns, then
+    draws once per addable entry of the block in row-major order."""
     _check_plant(fraction, boost)
+    if pair[0].upper() == pair[1].upper():
+        raise ParameterError(f"plant pair {pair} must name two distinct parts")
     a, b = system.part(pair[0]), system.part(pair[1])
     rng = random.Random(seed)
     rows_sel = sorted(rng.sample(list(a.indices), math.ceil(fraction * len(a))))
     cols_sel = sorted(rng.sample(list(b.indices), math.ceil(fraction * len(b))))
-    col_mask = 0
-    for c in cols_sel:
-        col_mask |= 1 << c
-    host_rows, sub_rows = system.host.rows, list(system.sub.rows)
-    for u in rows_sel:
-        addable = host_rows[u] & col_mask & ~sub_rows[u]
-        for v in iter_bits(addable):
-            if rng.random() < boost:
-                sub_rows[u] |= 1 << v
-                sub_rows[v] |= 1 << u
-    n = system.host.vertex_count
-    g = Graph._trusted(n, tuple(sub_rows))
-    return TripartiteSystem(system.host, g, system.x, system.y, system.z)
+    cut = np.ix_(rows_sel, cols_sel)
+    sub = bool_matrix(system.sub).copy()
+    added = bool_matrix(system.host)[cut] & ~sub[cut]
+    added[added] = np.array([rng.random() for _ in range(np.count_nonzero(added))]) < boost
+    sub[cut] |= added
+    sub[np.ix_(cols_sel, rows_sel)] |= added.T
+    return replace(system, sub=Graph._of_matrix(sub))
 
 
 # -- inheritance experiments ---------------------------------------------------

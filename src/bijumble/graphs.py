@@ -5,8 +5,9 @@ over the dense 0-based vertex indices: set algebra on neighbourhoods is
 AND + popcount, which is what the embedding counts and small exact pairs
 use.  The dense kernels (codegrees, sampled regularity, the spectral bound)
 work on numpy 0/1 blocks instead, cut by ``pair_block`` from the cached
-``bool_matrix``.  Graphs and vertex sets are immutable after construction
-and safe to share across workers.
+``bool_matrix``, read-only, which a generated graph hands over from the
+matrix it was drawn in (``Graph._of_matrix``) and any other graph unpacks
+once.  Graphs and vertex sets are immutable and safe to share across workers.
 
 Edge lists in the canonical form that ``format_edge_list`` writes are read
 in one vectorised numpy pass; every other accepted form, and every parse
@@ -79,6 +80,14 @@ class Graph:
         return g
 
     @classmethod
+    def _of_matrix(cls, mat: np.ndarray) -> "Graph":
+        # ``mat``: symmetric, loop-free, C-contiguous bool; kept read-only as ``bool_matrix``
+        g = cls._trusted(len(mat), _rows_from_packed(np.packbits(mat, axis=1, bitorder="little")))
+        mat.flags.writeable = False
+        object.__setattr__(g, "_bool_cache", mat)
+        return g
+
+    @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         rows = [0] * vertex_count
         index = operator.index  # numpy integer endpoints would shift in 64 bits
@@ -126,7 +135,7 @@ def bool_matrix(graph: Graph) -> np.ndarray:
     """Dense boolean adjacency of ``graph``, computed once and cached.
 
     Safe to cache because graphs are immutable; the cache is not a dataclass
-    field, so equality and hashing are unaffected.
+    field, so equality and hashing are unaffected.  Callers share it: read-only.
     """
     cached = graph.__dict__.get("_bool_cache")
     if cached is None:
@@ -136,12 +145,9 @@ def bool_matrix(graph: Graph) -> np.ndarray:
             b"".join(r.to_bytes(nbytes, "little") for r in graph.rows), dtype=np.uint8
         ).reshape(n, nbytes) if n else np.zeros((0, 1), dtype=np.uint8)
         cached = np.unpackbits(raw, axis=1, bitorder="little", count=n).astype(bool)
+        cached.flags.writeable = False
         object.__setattr__(graph, "_bool_cache", cached)
     return cached
-
-
-def rows_from_bool_matrix(mat: np.ndarray) -> tuple[int, ...]:
-    return _rows_from_packed(np.packbits(mat, axis=1, bitorder="little"))
 
 
 def _rows_from_packed(packed: np.ndarray) -> tuple[int, ...]:

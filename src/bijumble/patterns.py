@@ -36,8 +36,8 @@ import warnings
 from dataclasses import dataclass
 from functools import total_ordering
 
-from .errors import CapacityError, ParameterError
-from .graphs import Graph, iter_bits
+from .errors import CapacityError, ParameterError, ParseError
+from .graphs import Graph, format_edge_list, iter_bits, parse_edge_list
 
 EXHAUSTIVE_LIMIT = 9
 BRANCH_AND_BOUND_LIMIT = 12
@@ -328,15 +328,11 @@ def optimize_order(graph: Graph, objective: str, strategy: str) -> tuple[tuple[i
 # an order line the identity order is assumed.
 
 def parse_pattern(text: str) -> Pattern:
-    from .graphs import parse_edge_list
-
     order_line = None
     graph_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if raw.strip().startswith("order:"):
             if order_line is not None:
-                from .errors import ParseError
-
                 raise ParseError("duplicate order line", line=lineno)
             order_line = (lineno, raw.strip()[len("order:"):])
         else:
@@ -348,14 +344,10 @@ def parse_pattern(text: str) -> Pattern:
     try:
         seq = tuple(int(tok) for tok in payload.split())
     except ValueError:
-        from .errors import ParseError
-
         raise ParseError("non-integer vertex in order line", line=lineno) from None
     return Pattern(graph, seq)
 
 
 def format_pattern(pattern: Pattern) -> str:
-    from .graphs import format_edge_list
-
     body = format_edge_list(pattern.graph)
     return body + "order: " + " ".join(str(v) for v in pattern.sequence) + "\n"

@@ -363,6 +363,7 @@ def extend_and_check(
         raise ParameterError("hypothesis violated: |V'| <= (1 + eps^3/10)|V|")
 
     base_verdict = check_eps_d_p(base, epsilon, d, p, method=method, trials=trials, seed=seed)
+    # looked up per call, so perfbench/spans.py's wrapper of jumbled's binding sees it
     from .jumbled import spectral_jumble_bound
 
     jumble_gamma = spectral_jumble_bound(extended, p).gamma

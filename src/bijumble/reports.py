@@ -27,6 +27,7 @@ import json
 import math
 import os
 import re
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -187,13 +188,20 @@ def write_report(report: AuditReport, out_dir) -> Path:
             break
         except FileExistsError:
             counter += 1
+    # one whole header: the first writer to link a finished header file in
+    # place wins; each row is then appended in one write
     index = out / "index.csv"
-    new = not index.exists()
+    if not index.exists():
+        header = out / f".index-{os.getpid()}-{threading.get_ident()}.csv"
+        header.write_text("lemma,mode,verdict,measured,bound,seed\r\n", encoding="utf-8", newline="")
+        try:
+            os.link(header, index)
+        except FileExistsError:
+            pass
+        finally:
+            header.unlink()
     with index.open("a", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if new:
-            writer.writerow(["lemma", "mode", "verdict", "measured", "bound", "seed"])
-        writer.writerow(
+        csv.writer(fh).writerow(
             [report.lemma, report.mode, report.verdict, report.measured, report.bound, report.seed]
         )
     return path

@@ -22,6 +22,13 @@ and the three ``_optimize_*`` searches are the pattern-exponent code that
 the one per-vertex kernel of ``bijumble.patterns`` replaced, and
 ``search_jumble_violation`` is the hill climb with its two hand-copied
 toggle loops, all kept verbatim.
+
+``sparsify`` and ``plant_irregular_block`` are the seeded generators as
+they were before they kept the 0/1 matrix they draw in: ``sparsify``
+scatters the kept edges' index arrays into a fresh matrix, and the plant
+walks the sub's bit rows in a Python loop.  Both are kept verbatim, apart
+from ``_rows_of``, which packs the bit rows here, and the plant's parameter
+check, which is left to the generator under test.
 """
 
 from __future__ import annotations
@@ -839,3 +846,56 @@ def search_jumble_violation(
             sound_upper=False,
         )
     return None
+
+
+# -- seeded generators -----------------------------------------------------------
+
+def _rows_of(mat: np.ndarray) -> tuple[int, ...]:
+    return tuple(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in mat)
+
+
+def sparsify(system: TripartiteSystem, d: float, seed: int) -> TripartiteSystem:
+    """Keep each host edge independently with probability d; G <= host by
+    construction.  Edges are visited in sorted order, so the outcome is a
+    pure function of (host, d, seed)."""
+    if not 0 < d <= 1:
+        raise ParameterError("d must lie in (0,1]")
+    host_mat = bool_matrix(system.host)
+    iu, iv = np.nonzero(np.triu(host_mat, 1))  # row-major = sorted edge order
+    rng = np.random.default_rng(seed)
+    keep = rng.random(len(iu)) < d
+    n = system.host.vertex_count
+    sub = np.zeros((n, n), dtype=bool)
+    sub[iu[keep], iv[keep]] = True
+    sub |= sub.T
+    g = Graph._trusted(n, _rows_of(sub))
+    return TripartiteSystem(system.host, g, system.x, system.y, system.z)
+
+
+def plant_irregular_block(
+    system: TripartiteSystem,
+    pair: tuple[str, str],
+    fraction: float,
+    boost: float,
+    seed: int,
+) -> TripartiteSystem:
+    """Negative control: inside a seeded fraction x fraction sub-block of the
+    named pair, host edges currently missing from G are added to G with
+    probability ``boost``."""
+    a, b = system.part(pair[0]), system.part(pair[1])
+    rng = random.Random(seed)
+    rows_sel = sorted(rng.sample(list(a.indices), math.ceil(fraction * len(a))))
+    cols_sel = sorted(rng.sample(list(b.indices), math.ceil(fraction * len(b))))
+    col_mask = 0
+    for c in cols_sel:
+        col_mask |= 1 << c
+    host_rows, sub_rows = system.host.rows, list(system.sub.rows)
+    for u in rows_sel:
+        addable = host_rows[u] & col_mask & ~sub_rows[u]
+        for v in iter_bits(addable):
+            if rng.random() < boost:
+                sub_rows[u] |= 1 << v
+                sub_rows[v] |= 1 << u
+    n = system.host.vertex_count
+    g = Graph._trusted(n, tuple(sub_rows))
+    return TripartiteSystem(system.host, g, system.x, system.y, system.z)

@@ -1,10 +1,14 @@
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
+import reference
+from bijumble import graphs
 from bijumble.errors import ParameterError
-from bijumble.graphs import BipartitePairView, Graph, TripartiteSystem, VertexSet
+from bijumble.graphs import BipartitePairView, Graph, TripartiteSystem, VertexSet, bool_matrix
 from bijumble.experiments import (
     ExperimentPlan,
     PerVertexVerdict,
@@ -155,6 +159,57 @@ def test_plant_block_noop_and_errors():
         plant_irregular_block(s, ("Y", "Z"), 0.5, 1.5, seed=3)
     with pytest.raises(ParameterError):
         plant_irregular_block(s, ("Y", "Z"), 0.0, 0.5, seed=3)
+    for pair in (("Y", "Y"), ("z", "Z"), ("X", "x")):
+        with pytest.raises(ParameterError, match="two distinct parts"):
+            plant_irregular_block(s, pair, 0.5, 1.0, seed=3)
+
+
+def random_system(rnd: random.Random) -> TripartiteSystem:
+    """A generated system, or, one time in three, a hand-built host that also
+    has edges inside its parts, with a generated or hand-built G."""
+    nx, ny, nz = (rnd.randint(1, 14) for _ in range(3))
+    p = rnd.uniform(0.05, 0.95)
+    if rnd.randrange(3):
+        return make_system(nx, ny, nz, p, rnd.choice((rnd.uniform(0.05, 1.0), 1.0)), rnd.randrange(10**6))
+    n = nx + ny + nz
+    host = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rnd.random() < p])
+    parts = VertexSet.range(0, nx), VertexSet.range(nx, nx + ny), VertexSet.range(nx + ny, n)
+    system = TripartiteSystem(host, host, *parts)
+    if rnd.randrange(2):
+        return reference.sparsify(system, rnd.uniform(0.05, 1.0), rnd.randrange(10**6))
+    sub = Graph.from_edges(n, [e for e in host.edges() if rnd.random() < 0.5])
+    return TripartiteSystem(host, sub, *parts)
+
+
+@pytest.mark.parametrize("batch", range(4))
+def test_generators_equal_bit_row_reference(batch):
+    rnd = random.Random(4200 + batch)
+    pairs = list(itertools.permutations("XYZ", 2))
+    for _ in range(80):
+        system = random_system(rnd)
+        d, seed = rnd.choice((rnd.uniform(0.01, 1.0), 1.0)), rnd.randrange(10**6)
+        assert sparsify(system, d, seed).sub.rows == reference.sparsify(system, d, seed).sub.rows
+        for pair in pairs:
+            fraction = rnd.choice((rnd.uniform(0.01, 1.0), 1.0))
+            boost = rnd.choice((0.0, 1.0, rnd.random()))
+            got = plant_irregular_block(system, pair, fraction, boost, seed)
+            assert got.sub.rows == reference.plant_irregular_block(system, pair, fraction, boost, seed).sub.rows
+
+
+@pytest.mark.parametrize("plant", [None, (0.5, 0.7, 9)])
+def test_generated_graphs_hand_over_a_read_only_matrix(monkeypatch, plant):
+    def refuse(*args, **kwargs):
+        raise AssertionError("bit rows were unpacked")
+
+    monkeypatch.setattr(graphs.np, "unpackbits", refuse)
+    system = make_system(6, 9, 7, 0.5, 0.6, 11, plant)
+    mats = [bool_matrix(system.host), bool_matrix(system.sub)]
+    monkeypatch.undo()
+    for g, mat in zip((system.host, system.sub), mats):
+        assert not mat.flags.writeable
+        assert np.array_equal(mat, bool_matrix(Graph(g.vertex_count, g.rows)))
+        with pytest.raises(ValueError):
+            mat[0, 0] = True
 
 
 def test_plant_block_flagged_by_sampled_and_confirmed_exact():

@@ -228,6 +228,16 @@ def test_from_edges_numpy_endpoints():
         Graph.from_edges(3, [(0.0, 1.0)])
 
 
+def test_bool_matrix_is_read_only_and_cached():
+    for g in (Graph.from_edges(9, [(0, 8), (2, 3)]), parse_edge_list("n=4\n0 1\n1 3\n"), Graph.empty(3)):
+        mat = graphs.bool_matrix(g)
+        assert graphs.bool_matrix(g) is mat and not mat.flags.writeable
+        with pytest.raises(ValueError):
+            mat[0, 1] = True
+        with pytest.raises(ValueError):
+            mat |= True
+
+
 def test_density_examples():
     assert density(complete_bipartite(3, 4)) == 1
     assert density(perfect_matching(3)) == Fraction(1, 3)

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -159,6 +160,34 @@ def test_write_report_concurrent_writers_never_collide(tmp_path):
         sys.setswitchinterval(interval)
     assert len(set(paths)) == 40 and len(list(tmp_path.glob("*.json"))) == 40
     assert all(json.loads(p.read_text())["seed"] == 42 for p in paths)
+
+
+def _write_after_barrier(barrier, dirs):
+    for out in dirs:
+        barrier.wait(timeout=60)
+        write_report(sample_report(), out)
+
+
+def test_write_report_concurrent_processes_write_one_index_header(tmp_path):
+    # 4 processes released together into each of 300 fresh directories: an
+    # exists-then-append header check gives some directory two headers
+    dirs = [tmp_path / f"round{i}" for i in range(300)]
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(4)
+    procs = [ctx.Process(target=_write_after_barrier, args=(barrier, dirs)) for _ in range(4)]
+    for proc in procs:
+        proc.start()
+    for proc in procs:
+        proc.join(timeout=120)
+        if proc.is_alive():
+            proc.kill()
+    assert [proc.exitcode for proc in procs] == [0] * 4
+    index = "lemma,mode,verdict,measured,bound,seed\r\n" + "sample_lemma,relaxed,pass,3,4.0,42\r\n" * 4
+    for out in dirs:
+        assert (out / "index.csv").read_bytes().decode("utf-8") == index
+        assert sorted(path.name for path in out.iterdir()) == [
+            "index.csv", *(f"sample_lemma-42-{i:04d}.json" for i in range(4))
+        ]
 
 
 def test_identical_reports_differ_only_in_counter_and_clock(tmp_path):
