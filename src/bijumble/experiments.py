@@ -13,9 +13,10 @@ vacuity honestly.
 An experiment cuts three 0/1 blocks once: the host's X x Y and X x Z and
 G's Y x Z.  Each x then reads its neighbour positions from its host rows,
 takes those rows of the Y x Z block (and, two-sided, those columns), and
-runs ``exact_block_regularity`` or ``sampled_block_regularity`` on the
-result with the density floor of ``check_eps_d_p``; the verdicts equal
-``check_eps_d_p`` on the per-x pair views.
+applies ``leq`` and the density floor to the deviation that
+``exact_block_regularity`` or the witness-free ``sampled_block_deviation``
+finds there; the per-x verdicts equal the ``regular``, ``deviation`` and
+``failure_reason`` of ``check_eps_d_p`` on the per-x pair views.
 
 Everything is seeded; rerunning a plan with the same seed and any worker
 count reproduces outcomes exactly (per-x work is partitioned over disjoint
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -47,10 +49,10 @@ from .graphs import (
 from .jumbled import min_size_bound, spectral_jumble_bound
 from .quads import _regularity_refutation, codegrees
 from .regularity import (
-    apply_density_floor,
+    below_density_floor,
     check_eps_d_p,
     exact_block_regularity,
-    sampled_block_regularity,
+    sampled_block_deviation,
 )
 from .reports import AuditReport, HypothesisRecord, make_report, parse_key_values
 
@@ -341,55 +343,38 @@ def _run_inheritance(
         evidence.append(_jumble_evidence(system, "X", "Z", p, 3.0, False))
 
     xs = x_part.indices
-    y_idx = np.array(y_part.indices, dtype=np.int64)
-    z_idx = np.array(z_part.indices, dtype=np.int64)
     host_xy = pair_block(system.pair("X", "Y", "host"))
     host_xz = None if one_sided else pair_block(system.pair("X", "Z", "host"))
     yz = pair_block(system.pair("Y", "Z"))
     yz_degrees = yz.sum(axis=1, dtype=np.int64)
 
-    def verdict_at(x: int, ypos: np.ndarray, zpos: np.ndarray | None):
-        """The (eps',d,p) verdict of x's derived pair in G."""
-        block = yz[ypos]
-        if one_sided:
-            edges, right = int(yz_degrees[ypos].sum()), z_idx
-        else:
-            block = block.take(zpos, axis=1)
-            edges, right = int(np.count_nonzero(block)), z_idx[zpos]
+    def verdict_at(i: int) -> PerVertexVerdict:
+        """The (eps',d,p) verdict of the i-th x's derived pair in G."""
+        x, ypos = xs[i], np.flatnonzero(host_xy[i])
+        zpos = None if one_sided else np.flatnonzero(host_xz[i])
+        deg_y, deg_z = len(ypos), None if one_sided else len(zpos)
+        if deg_y == 0 or deg_z == 0:
+            return PerVertexVerdict(x, False, None, "empty neighborhood", deg_y, deg_z)
+        block = yz[ypos] if one_sided else yz[ypos].take(zpos, axis=1)
+        edges = int(yz_degrees[ypos].sum()) if one_sided else int(np.count_nonzero(block))
         base = float(Fraction(edges, block.size)) / p  # as graphs.p_density
-        if method == "exact":
-            verdict = exact_block_regularity(block, base, y_idx[ypos], right, eps_prime, p)
+        if method == "exact":  # the witness is dropped, so positions label it
+            dev = exact_block_regularity(block, base, *map(range, block.shape), eps_prime, p).deviation
         else:
-            verdict = sampled_block_regularity(
-                block, base, y_idx[ypos], right, eps_prime, p, trials, _child_seed(seed, x)
-            )
-        return apply_density_floor(verdict, d)
+            dev = sampled_block_deviation(block, base, eps_prime, p, trials, _child_seed(seed, x))
+        if below_density_floor(base, eps_prime, d):
+            return PerVertexVerdict(x, False, dev, "density floor", deg_y, deg_z)
+        regular = leq(dev, eps_prime)
+        return PerVertexVerdict(x, regular, dev, None if regular else "irregularity witness", deg_y, deg_z)
 
-    def eval_range(rng_: range) -> list[PerVertexVerdict]:
-        out = []
-        for i in rng_:
-            x = xs[i]
-            ypos = np.flatnonzero(host_xy[i])
-            zpos = None if one_sided else np.flatnonzero(host_xz[i])
-            deg_y, deg_z = len(ypos), None if one_sided else len(zpos)
-            if deg_y == 0 or deg_z == 0:
-                out.append(PerVertexVerdict(x, False, None, "empty neighborhood", deg_y, deg_z))
-                continue
-            verdict = verdict_at(x, ypos, zpos)
-            out.append(
-                PerVertexVerdict(
-                    x, verdict.regular, verdict.deviation, verdict.failure_reason, deg_y, deg_z
-                )
-            )
-        return out
-
+    workers = min(workers, os.cpu_count() or 1)  # more threads than cores gain nothing
     ranges = _chunk_ranges(len(xs), workers)
     if len(ranges) == 1:
-        chunks = [eval_range(ranges[0])]
+        per_x = tuple(map(verdict_at, ranges[0]))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(eval_range, ranges))
-    per_x = tuple(v for chunk in chunks for v in chunk)
+            chunks = pool.map(lambda r: [verdict_at(i) for i in r], ranges)
+            per_x = tuple(v for chunk in chunks for v in chunk)
     exceptional = sum(1 for v in per_x if not v.regular)
     return InheritanceOutcome(
         per_x=per_x,

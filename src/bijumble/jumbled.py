@@ -110,7 +110,8 @@ def exact_jumble_gamma(pair: BipartitePairView, p: float) -> JumbleCertificate:
 
 
 def _gram(block: np.ndarray, p: float) -> np.ndarray:
-    """Upper triangle of G~ (see ``spectral_jumble_bound``), over 2 MiB chunks of the 0/1 block."""
+    """G~ (see ``spectral_jumble_bound``), computed in its upper triangle over
+    2 MiB chunks of the 0/1 block and mirrored into the lower one."""
     m, n = block.shape
     step = max(1, (1 << 18) // m)
     g = np.zeros((m, m))
@@ -119,10 +120,42 @@ def _gram(block: np.ndarray, p: float) -> np.ndarray:
         for i in range(0, m, step):
             g[i : i + step, i:] += f[i : i + step] @ f[i:].T
     npd, npp = -p * g.diagonal(), n * (p * p)  # C's diagonal holds the row degrees
-    for i in range(0, m, step):  # centre, in place, only the rows filled above
+    for i in range(0, m, step):  # centre, in place, only the rows filled above, then mirror them
         for term in (npd[i : i + step, None], npd[i:], npp):
             g[i : i + step, i:] += term
+        j = min(i + step, m)
+        g[j:, i:j] = g[i:j, j:].T
+        corner, lower = g[i:j, i:j], np.tril_indices(j - i, -1)
+        corner[lower] = corner.T[lower]
     return g
+
+
+def _lanczos_top(g: np.ndarray) -> float:
+    """Lanczos estimate of the top eigenvalue of the symmetric g (Golub and
+    Van Loan, Matrix Computations, ch. 10): a fixed-seed start vector, full
+    reorthogonalisation (classical Gram-Schmidt, twice), and a stop at an
+    invariant subspace (beta <= 2^-40 max|alpha|), when the top Ritz value
+    agrees to 2^-50 between checks 10 steps apart, or after min(m, 120) steps."""
+    m = len(g)
+    q = np.empty((min(m, 120), m))  # the Lanczos vectors, one per row
+    start = np.random.default_rng(0).standard_normal(m)
+    q[0] = start / np.linalg.norm(start)
+    alpha, beta, largest, checked = [], [], 0.0, None
+    for k in range(len(q)):
+        w = g @ q[k]
+        alpha.append(float(q[k] @ w))
+        largest = max(largest, abs(alpha[-1]))
+        for _ in (1, 2):
+            w -= (q[: k + 1] @ w) @ q[: k + 1]
+        b = float(np.linalg.norm(w))
+        done = b <= 2.0**-40 * largest or k + 1 == len(q)
+        if done or (k + 1) % 10 == 0:
+            top = float(np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))[-1])
+            if done or (checked is not None and abs(top - checked) <= 2.0**-50 * abs(top)):
+                return top
+            checked = top
+        beta.append(b)
+        q[k + 1] = w / b
 
 
 def _cholesky(b: np.ndarray) -> bool:
@@ -163,11 +196,13 @@ def spectral_jumble_bound(pair: BipartitePairView, p: float) -> JumbleCertificat
     Underflowing products and quotients err by <= 2^-1075 each, far below
     the 2^-1000 added for any array that fits in memory.  The scalar tail is
     exact rational arithmetic, each rounding to float nudged upward.  s sits
-    just above ``eigvalsh``'s top eigenvalue of G~ and at least 2^-100, clear
-    of the subnormals, rounded up to a multiple of 2^(e-36), 2^(e-1) <= s <
-    2^e, which keeps the last-bit wobble of that eigenvalue between BLAS
-    thread counts (up to 3.1*10^-15 relative on 30 pairs) from gamma but about
-    once in 2*10^4 calls; a failed Cholesky widens s once, and a second
+    just above a Lanczos estimate of G~'s top eigenvalue (``_lanczos_top``;
+    Golub and Van Loan, Matrix Computations, ch. 10) and at least 2^-100,
+    clear of the subnormals, rounded up to a multiple of 2^(e-36), 2^(e-1) <=
+    s < 2^e, which keeps the last-bit wobble of the estimate between BLAS
+    thread counts (up to 1.2*10^-15 relative on 30 pairs) from gamma but
+    about once in 2*10^4 calls.  Soundness rests on the Cholesky alone,
+    whatever the estimate: a failed Cholesky widens s once, and a second
     failure raises BijumbleError.  ``iterations`` counts the attempts.
     """
     if not 0 < p <= 1:
@@ -177,7 +212,7 @@ def spectral_jumble_bound(pair: BipartitePairView, p: float) -> JumbleCertificat
     block = pair_block(pair if len(pair.left) <= len(pair.right) else pair.swapped())
     m, n = block.shape
     g = _gram(block, p)
-    lam = max(float(np.linalg.eigvalsh(g, UPLO="U")[-1]), 0.0)
+    lam = max(_lanczos_top(g), 0.0)
     margin = max(lam * m * (m + 1) * 2.0**-53, 2.0**-100)  # about h tr(B~)
     g_diag = g.diagonal().copy()
     for attempt in (1, 2):

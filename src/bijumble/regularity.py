@@ -14,16 +14,17 @@ trial, the degree-sorted prefix refinement against the drawn U'; a sampled
 "regular" verdict only means no violation was found, while a sampled
 witness is a sound refutation.
 
-The sampled trials run together: ``draw_subsets`` draws every U', then
-every W', from one ``numpy.random.default_rng(seed)`` stream, and the
-pair's 0/1 block is cut once.  Blocks of trials then take the column
-degrees into each U', the drawn pair's density from them, and the densest
-and sparsest prefixes of W from one value sort with cumulative sums from
-both ends.  Candidates are compared in the order of a per-trial loop
-(drawn pair before prefix, densest prefix on ties, the first maximum wins),
-and only the winning trial's witness is built.  ``sampled_block_regularity``
-is that search on a block its caller has already cut, and
-``sampled_regularity`` cuts the block of a pair view and calls it.
+The sampled trials run together in one kernel: ``draw_subsets`` draws
+every U', then every W', from one ``numpy.random.default_rng(seed)``
+stream, the pair's 0/1 block is cut once, and blocks of trials take the
+column degrees into each U', the drawn pair's density from them, and the
+densest and sparsest prefixes of W from one value sort with cumulative sums
+from both ends.  ``sampled_block_regularity`` compares those candidates in
+the order of a per-trial loop (drawn pair before prefix, densest prefix on
+ties, the first maximum wins) and builds only the winning trial's witness;
+``sampled_block_deviation``, the per-x search of ``bijumble.experiments``,
+takes the same largest deviation and builds no witness.  Both take a block
+their caller has already cut; ``sampled_regularity`` cuts a pair view's.
 
 ``_verdict`` dispatches to the exact or the sampled method, and
 ``_auto_method`` picks exact when the subset budget fits
@@ -97,6 +98,21 @@ def _require_budget(shape: tuple[int, int], epsilon: float):
         )
 
 
+def _searched_verdict(method: str, worst: float, witness, base: float, epsilon: float, p: float):
+    """The verdict of a search whose largest deviation ``worst`` the witness attains."""
+    regular = leq(worst, epsilon)
+    return RegularityVerdict(
+        regular=regular,
+        epsilon=epsilon,
+        p=p,
+        base_p_density=base,
+        deviation=max(worst, 0.0),
+        method=method,
+        worst_witness=witness,
+        failure_reason=None if regular else "irregularity witness",
+    )
+
+
 def exact_block_regularity(
     sub: np.ndarray, base: float, left, right, epsilon: float, p: float
 ) -> RegularityVerdict:
@@ -128,17 +144,8 @@ def _exact_scan(sub: np.ndarray, base: float, left, right, epsilon: float, p: fl
     worst, combo, chosen, edges = scan(sub, left, right, min_size(epsilon, len(left)), score)
     dens = edges / (p * len(combo) * len(chosen))
     uset, wset = VertexSet.of(combo), VertexSet.of(chosen)
-    regular = leq(worst, epsilon)
-    return RegularityVerdict(
-        regular=regular,
-        epsilon=epsilon,
-        p=p,
-        base_p_density=base,
-        deviation=max(worst, 0.0),
-        method="exact",
-        worst_witness=(wset, uset, dens) if swap else (uset, wset, dens),
-        failure_reason=None if regular else "irregularity witness",
-    )
+    witness = (wset, uset, dens) if swap else (uset, wset, dens)
+    return _searched_verdict("exact", worst, witness, base, epsilon, p)
 
 
 def exact_regularity(pair: BipartitePairView, epsilon: float, p: float) -> RegularityVerdict:
@@ -168,25 +175,19 @@ def draw_subsets(
     return us, ws
 
 
-def sampled_block_regularity(
-    sub: np.ndarray, base: float, left, right, epsilon: float, p: float, trials: int, seed: int
-) -> RegularityVerdict:
-    """``sampled_regularity`` on a pair's 0/1 block, given its base
-    p-density; ``left`` and ``right`` label the rows and columns for the
-    witness."""
+def _sampled_trials(sub: np.ndarray, base: float, epsilon: float, p: float, trials: int, seed: int):
+    """The checked trial search on the block: the draws (``draw_subsets``),
+    each trial's p-densities of the drawn pair (column 0) and of the better
+    of the densest and sparsest degree-sorted prefix of W against the drawn
+    U' (column 1), that prefix's length and whether it is the densest."""
     _validate_shape(sub.shape, epsilon, p)
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     n_u, n_w = sub.shape
-    su = min_size(epsilon, n_u)
-    sw = min_size(epsilon, n_w)
+    su, sw = min_size(epsilon, n_u), min_size(epsilon, n_w)
     us, ws = draw_subsets(n_u, su, n_w, sw, trials, seed)
-
-    # per trial: the drawn pair's density, then the better of the densest
-    # and the sparsest degree-sorted prefix of W against the drawn U'
     scale = p * su * np.arange(sw, n_w + 1)
-    rand_dens = np.empty(trials)
-    ref_dev, ref_dens = np.empty(trials), np.empty(trials)
+    dens = np.empty((trials, 2))
     ref_t, ref_top = np.empty(trials, dtype=np.int64), np.empty(trials, dtype=bool)
     acc = np.uint16 if su < 1 << 16 else np.int64  # degrees into U' are at most su
     block = max(1, TRIAL_BLOCK_BYTES // (su * n_w))
@@ -194,48 +195,54 @@ def sampled_block_regularity(
         part = slice(lo, lo + block)
         degs = np.add.reduce(sub[us[part]], axis=1, dtype=acc)
         edges = np.take_along_axis(degs, ws[part], axis=1).sum(axis=1, dtype=np.int64)
-        rand_dens[part] = edges / (p * su * sw)
+        dens[part, 0] = edges / (p * su * sw)
         asc = np.sort(degs, axis=1)
         dens_bot = np.cumsum(asc, axis=1, dtype=np.int64)[:, sw - 1:] / scale
         dens_top = np.cumsum(asc[:, ::-1], axis=1, dtype=np.int64)[:, sw - 1:] / scale
         dev_top, dev_bot = np.abs(dens_top - base), np.abs(dens_bot - base)
         it, ib = dev_top.argmax(axis=1), dev_bot.argmax(axis=1)
         at = np.arange(len(it))
-        top = dev_top[at, it] >= dev_bot[at, ib]
-        ref_top[part] = top
+        ref_top[part] = top = dev_top[at, it] >= dev_bot[at, ib]
         ref_t[part] = sw + np.where(top, it, ib)
-        ref_dev[part] = np.where(top, dev_top[at, it], dev_bot[at, ib])
-        ref_dens[part] = np.where(top, dens_top[at, it], dens_bot[at, ib])
+        dens[part, 1] = np.where(top, dens_top[at, it], dens_bot[at, ib])
+    return us, ws, dens, ref_t, ref_top
 
+
+def sampled_block_deviation(
+    sub: np.ndarray, base: float, epsilon: float, p: float, trials: int, seed: int
+) -> float:
+    """The deviation of ``sampled_block_regularity`` on the same arguments,
+    with no witness built."""
+    dens = _sampled_trials(sub, base, epsilon, p, trials, seed)[2]
+    return max(float(np.abs(dens - base).max()), 0.0)
+
+
+def sampled_block_regularity(
+    sub: np.ndarray, base: float, left, right, epsilon: float, p: float, trials: int, seed: int
+) -> RegularityVerdict:
+    """``sampled_regularity`` on a pair's 0/1 block, given its base
+    p-density; ``left`` and ``right`` label the rows and columns for the
+    witness."""
+    us, ws, dens, ref_t, ref_top = _sampled_trials(sub, base, epsilon, p, trials, seed)
     # candidates in trial order, drawn pair before prefix; a later one replaces
     # the current worst only if strictly larger, so the first maximum wins
-    rand_dev = np.abs(rand_dens - base)
-    j, refined = divmod(int(np.column_stack((rand_dev, ref_dev)).argmax()), 2)
-    if refined:
-        worst, dens = float(ref_dev[j]), float(ref_dens[j])
+    dev = np.abs(dens - base)
+    j, refined = divmod(int(dev.argmax()), 2)
+    worst, density = dev[j, refined], dens[j, refined]
+    if refined:  # reported as Python floats, the drawn pair's as numpy scalars
+        worst, density = float(worst), float(density)
         degs = sub[us[j]].sum(axis=0, dtype=np.int64)
-        positions = np.arange(n_w)
+        positions = np.arange(sub.shape[1])
         order = np.lexsort((positions, -degs) if ref_top[j] else (positions, degs))
         wpos = order[: ref_t[j]]
     else:
-        worst, dens, wpos = rand_dev[j], rand_dens[j], ws[j]
-    worst_witness = (
+        wpos = ws[j]
+    witness = (
         VertexSet.of(np.asarray(left)[us[j]].tolist()),
         VertexSet.of(np.asarray(right)[wpos].tolist()),
-        dens,
+        density,
     )
-
-    regular = leq(worst, epsilon)
-    return RegularityVerdict(
-        regular=regular,
-        epsilon=epsilon,
-        p=p,
-        base_p_density=base,
-        deviation=max(worst, 0.0),
-        method="sampled",
-        worst_witness=worst_witness,
-        failure_reason=None if regular else "irregularity witness",
-    )
+    return _searched_verdict("sampled", worst, witness, base, epsilon, p)
 
 
 def sampled_regularity(
@@ -249,9 +256,14 @@ def sampled_regularity(
     )
 
 
+def below_density_floor(base: float, epsilon: float, d: float) -> bool:
+    """Whether the base p-density misses the floor d_p(U,W) >= d - eps."""
+    return base < d - epsilon - ABS_TOL
+
+
 def apply_density_floor(verdict: RegularityVerdict, d: float) -> RegularityVerdict:
     """``verdict`` with d recorded and the floor d_p(U,W) >= d - eps applied."""
-    if verdict.base_p_density < d - verdict.epsilon - ABS_TOL:
+    if below_density_floor(verdict.base_p_density, verdict.epsilon, d):
         return replace(verdict, regular=False, failure_reason="density floor", d=d)
     return replace(verdict, d=d)
 

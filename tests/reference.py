@@ -23,6 +23,12 @@ the one per-vertex kernel of ``bijumble.patterns`` replaced, and
 ``search_jumble_violation`` is the hill climb with its two hand-copied
 toggle loops, all kept verbatim.
 
+``spectral_jumble_bound`` is the spectral certificate as it was when its
+shift sat just above ``numpy.linalg.eigvalsh``'s top eigenvalue of G~,
+which the Lanczos estimate replaced.  It is kept verbatim but for its
+parameter checks and docstring, and it takes ``_gram``, ``_cholesky`` and
+``_up`` from ``bijumble.jumbled``.
+
 ``sparsify`` and ``plant_irregular_block`` are the seeded generators as
 they were before they kept the 0/1 matrix they draw in: ``sparsify``
 scatters the kept edges' index arrays into a fresh matrix, and the plant
@@ -36,6 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -44,7 +51,7 @@ from bijumble._numeric import leq
 from bijumble._subsets import min_size
 from bijumble._subsets import subset_budget as _subset_budget
 from bijumble.embeddings import PartiteInstance
-from bijumble.errors import CapacityError, ParameterError
+from bijumble.errors import BijumbleError, CapacityError, ParameterError
 from bijumble.graphs import (
     BipartitePairView,
     Graph,
@@ -53,8 +60,9 @@ from bijumble.graphs import (
     bool_matrix,
     iter_bits,
     p_density,
+    pair_block,
 )
-from bijumble.jumbled import DEFAULT_ENUM_CAP, JumbleCertificate, _discrepancy
+from bijumble.jumbled import DEFAULT_ENUM_CAP, JumbleCertificate, _cholesky, _discrepancy, _gram, _up
 from bijumble.patterns import ExponentReport, MilliValue, Pattern, line_graph
 from bijumble.quads import C4Census, PairClassCensus
 from bijumble.regularity import RegularityVerdict, _validate, draw_subsets
@@ -273,6 +281,37 @@ def sampled_regularity(
         method="sampled",
         worst_witness=worst_witness,
         failure_reason=None if regular else "irregularity witness",
+    )
+
+
+def spectral_jumble_bound(pair: BipartitePairView, p: float) -> JumbleCertificate:
+    block = pair_block(pair if len(pair.left) <= len(pair.right) else pair.swapped())
+    m, n = block.shape
+    g = _gram(block, p)
+    lam = max(float(np.linalg.eigvalsh(g, UPLO="U")[-1]), 0.0)
+    margin = max(lam * m * (m + 1) * 2.0**-53, 2.0**-100)  # about h tr(B~)
+    g_diag = g.diagonal().copy()
+    for attempt in (1, 2):
+        if attempt == 2:  # the failed factorisation overwrote g
+            g, margin = _gram(block, p), margin * 1024
+        e = math.frexp(lam + margin)[1]  # the grid of 2^(e-36)
+        s = math.ldexp(math.ceil(math.ldexp(lam + margin, 36 - e)), e - 36)
+        b_diag = s - g_diag
+        np.negative(g, out=g)  # exact
+        np.fill_diagonal(g, b_diag)
+        if _cholesky(g):
+            break
+    else:
+        raise BijumbleError(f"Cholesky of the shifted {m}x{m} Gram matrix failed twice")
+    g_m1 = Fraction(m + 1, 2**53 - (m + 1))
+    h_trace = g_m1 / (1 - g_m1) * Fraction(_up(math.fsum(b_diag)))
+    d, c, q = block.sum(axis=1), block.sum(axis=0), Fraction(p)
+    rows = int(d.max()) * (int(c.max()) + m * q) + q * (int(d.sum()) + m * n * q)
+    assembly = 0 if p == 1 else Fraction(5, 2**53 - 5) * rows  # E of step 1
+    square = Fraction(s) + h_trace + Fraction(b_diag.max()) / 2**53 + assembly
+    gamma = _up(math.sqrt(_up(float(square + Fraction(1, 2**1000)))))
+    return JumbleCertificate(
+        method="spectral", p=p, gamma=gamma, witness=None, sound_upper=True, iterations=attempt
     )
 
 

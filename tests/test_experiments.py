@@ -1,12 +1,13 @@
 import itertools
 import math
+import os
 import random
 
 import numpy as np
 import pytest
 
 import reference
-from bijumble import graphs
+from bijumble import experiments, graphs, regularity
 from bijumble.errors import ParameterError
 from bijumble.graphs import BipartitePairView, Graph, TripartiteSystem, VertexSet, bool_matrix
 from bijumble.experiments import (
@@ -412,3 +413,53 @@ def test_cut_path_equals_per_x_view_loop(seed, method):
                 assert got == per_x_view_loop(system, lemma, method, eps_prime, d, p, trials, seed)
                 reasons |= {v.reason for v in got}
     assert {"empty neighborhood", "density floor", None} <= reasons
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cut_path_equals_per_x_view_loop_across_trial_blocks(monkeypatch, seed):
+    # the view loop runs first, at the default block size, so only the cut path is split
+    rnd = random.Random(100 + seed)
+    system = sparsify(gen_tripartite(6, rnd.randint(20, 40), rnd.randint(20, 40), 0.5, seed=seed),
+                      0.7, seed=seed + 1)
+    cases = [(lemma, run, rnd.uniform(0.1, 0.5), rnd.choice((0.3, 0.8)), rnd.choice((5, 9)))
+             for lemma, run in (("one_sided", one_sided_experiment), ("two_sided", two_sided_experiment))]
+    wants = [per_x_view_loop(system, lemma, "sampled", eps_prime, d, 0.5, trials, seed)
+             for lemma, _, eps_prime, d, trials in cases]
+    for block_bytes in (1, 2 * 5 * 30):  # one trial per block; two at |U'| = 5, |W| = 30
+        monkeypatch.setattr(regularity, "TRIAL_BLOCK_BYTES", block_bytes)
+        for (_, run, eps_prime, d, trials), want in zip(cases, wants):
+            got = run(system, eps_prime, d, 0.5, method="sampled", trials=trials, seed=seed).per_x
+            assert got == want
+
+
+def test_cut_path_equals_per_x_view_loop_on_a_larger_system():
+    system = sparsify(gen_tripartite(8, 150, 150, 0.5, seed=77), 0.6, seed=78)
+    for lemma, run in (("one_sided", one_sided_experiment), ("two_sided", two_sided_experiment)):
+        got = run(system, 0.2, 0.5, 0.5, method="sampled", trials=40, seed=9).per_x
+        assert got == per_x_view_loop(system, lemma, "sampled", 0.2, 0.5, 0.5, 40, 9)
+
+
+def test_worker_pool_is_capped_at_the_core_count(monkeypatch):
+    seen = []
+
+    class RecordingPool:  # runs the ranges in order on the calling thread
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    system = build(12, 0.4, 0.6, 31)
+    want = one_sided_experiment(system, 0.3, 0.5, 0.4, trials=4, seed=2, workers=1)
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
+    for cores, workers, pools in ((3, 5000, [3]), (3, 2, [2]), (None, 5000, [])):
+        seen.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert one_sided_experiment(system, 0.3, 0.5, 0.4, trials=4, seed=2, workers=workers) == want
+        assert seen == pools

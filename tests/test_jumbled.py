@@ -336,3 +336,35 @@ def test_both_methods_reject_p_outside_unit_interval(p, tmp_path, capsys):
                         "--p", str(p), "--method", method])
         captured = capsys.readouterr()
         assert code == 2 and "p must lie in (0,1]" in captured.err and not captured.out
+
+
+def _assert_lanczos_matches_eigvalsh(a, p):
+    g = jumbled._gram(a if a.shape[0] <= a.shape[1] else a.T, p)
+    assert np.array_equal(g, g.T)  # the lower triangle, which eigvalsh reads, mirrors the upper
+    want = np.linalg.eigvalsh(g)[-1]
+    assert abs(jumbled._lanczos_top(g) - want) <= 1e-13 * abs(want), (a.shape, p)
+    assert spectral_jumble_bound(_pair_of(a), p).iterations == 1
+
+
+def test_lanczos_estimate_matches_eigvalsh():
+    rng = np.random.default_rng(17)
+    # mostly equal rows: G~ has rank at most 3, so the Krylov space closes after a few steps
+    mostly_equal = np.tile(rng.random(30) < 0.7, (30, 1))
+    mostly_equal[[4, 19]] = rng.random((2, 30)) < 0.7
+    _assert_lanczos_matches_eigvalsh(mostly_equal, 0.7)
+    _assert_lanczos_matches_eigvalsh(np.ones((20, 35), dtype=bool), 1.0)  # G~ = 0
+    _assert_lanczos_matches_eigvalsh(rng.random((1, 50)) < 0.4, 0.4)  # m = 1
+    _assert_lanczos_matches_eigvalsh(rng.random((600, 700)) < 0.3, 0.3)  # 2^18 / m < m: chunked mirror
+
+
+def test_spectral_bound_equals_the_eigvalsh_shift():
+    for seed in range(200):
+        rng = np.random.default_rng(5000 + seed)
+        m, n = (int(x) for x in rng.integers(1, 301, size=2))
+        p = float(rng.choice([0.01, 0.1, 0.3, 1 / 3, 0.7, 1.0, rng.random()]))
+        a = rng.random((m, n)) < (0.0, 1.0, rng.random(), rng.random())[seed % 4]
+        if seed % 3 == 0:  # repeated rows of the smaller side, or of the larger
+            a = a[rng.integers(0, max(1, m // 8), size=m)]
+        pr = _pair_of(a)
+        got, want = spectral_jumble_bound(pr, p), reference.spectral_jumble_bound(pr, p)
+        assert (got.gamma, got.iterations) == (want.gamma, 1), (seed, m, n, p)
