@@ -55,6 +55,18 @@ def regularity_budget(shape: tuple[int, int], epsilon: float) -> int:
     return subset_budget(n, min_size(epsilon, n))
 
 
+def within_cap(n: int, smallest: int) -> bool:
+    """``subset_budget(n, smallest) <= DEFAULT_ENUM_CAP``, summing from the
+    largest sizes and stopping once the cap is passed (a side of 800 would
+    otherwise sum 240-digit binomials)."""
+    total = 0
+    for s in range(n, smallest - 1, -1):
+        total += math.comb(n, s)
+        if total > DEFAULT_ENUM_CAP:
+            return False
+    return True
+
+
 def _table(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Degree vector and size of every subset of ``rows``, indexed by bit mask."""
     degrees = np.zeros((1 << len(rows), rows.shape[1]), np.int16)

@@ -6,7 +6,14 @@ sends every pattern edge to a host edge; host edges between images of
 pattern non-edges are permitted, and parts of non-adjacent pattern vertices
 may overlap (injectivity then does real work).  Counting backtracks in the
 pattern's embedding order, intersecting host bit rows of already-embedded
-neighbours; the order affects only speed, never the count.
+neighbours; the order affects only speed, never the count.  The last level
+is counted flat: at the second-to-last vertex's candidates w, the last
+vertex has sum_w |N(w) & base| images if the two are adjacent, else
+|base| |cand| - |cand & base| (an injective pair cannot share w), where
+``base`` is its part minus the used vertices, cut by its other earlier
+neighbours.  Instances are frozen, so ``count_partite_copies`` and
+``suffix_count`` cache their count on the instance: the CLI's count and
+its audit's count are one backtracking run.
 
 ``suffix_count`` restricts to the pattern vertices at positions >= x with
 per-vertex window sets W_y, and ``suffix_bound_audit`` compares it against
@@ -14,16 +21,21 @@ per-vertex window sets W_y, and ``suffix_bound_audit`` compares it against
 floors |W_y| >= eps p^{|N^{<x}(y)|} |V_y|, and a bijumbledness budget on
 beta.  ``optialpha_check`` evaluates the exact sum behind that bound's
 optimisation step against (50q)^q p^(1-C); the enumeration uses logarithms
-base 2 (forced by the powers of 2 in the sum).
+base 2 (forced by the powers of 2 in the sum).  The alpha grid is built in
+numpy chunks of ``OPTIALPHA_CHUNK`` vectors in ``itertools.product`` order,
+each term with the float operations of a per-vector loop, and the chunks
+are added with a sequential ``np.cumsum`` (``np.sum`` is pairwise), so the
+sum is bit-identical to a ``+=`` loop over the product.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from ._numeric import REL_TOL, geq, leq
 from .errors import CapacityError, ParameterError
@@ -32,6 +44,7 @@ from .patterns import Pattern, d_tilde
 from .reports import AuditReport, HypothesisRecord, make_report
 
 OPTIALPHA_CAP = 10**8
+OPTIALPHA_CHUNK = 4096  # alpha vectors per numpy pass; larger chunks raise peak memory
 
 
 @dataclass(frozen=True)
@@ -66,6 +79,7 @@ class SuffixInstance:
     w_sets: Mapping[int, VertexSet]
 
     def __post_init__(self):
+        object.__setattr__(self, "w_sets", dict(self.w_sets))  # the count is cached: no aliasing
         if self.x not in self.base.pattern.sequence:
             raise ParameterError(f"x = {self.x} is not a pattern vertex")
         for y in self.suffix_vertices():
@@ -81,18 +95,38 @@ class SuffixInstance:
 
 
 def count_partite_copies(instance: PartiteInstance) -> int:
-    """Exact labelled partite copy count by ordered backtracking."""
+    """Exact labelled partite copy count, counted once per instance."""
+    return _cached_count(instance, _backtrack)
+
+
+def _cached_count(instance, count) -> int:
+    # instances are frozen, so the count cannot go stale; the cache is not a
+    # dataclass field, so equality and hashing are unaffected
+    cached = instance.__dict__.get("_count_cache")
+    if cached is None:
+        cached = count(instance)
+        object.__setattr__(instance, "_count_cache", cached)
+    return cached
+
+
+def _backtrack(instance: PartiteInstance) -> int:
+    """``count_partite_copies`` by ordered backtracking with a flat last level."""
     pattern, host = instance.pattern, instance.host
     seq = pattern.sequence
     m = len(seq)
     if m == 0:
         return 1
+    if m == 1:
+        return len(instance.parts[0])
     rows = host.rows
     prows = pattern.graph.rows
     part_masks = [instance.parts[v].mask for v in seq]
     earlier: list[list[int]] = []  # indices into images[] of already-embedded neighbours
     for i, v in enumerate(seq):
         earlier.append([j for j in range(i) if prows[v] & (1 << seq[j])])
+    last = m - 1
+    last_back = [j for j in earlier[last] if j != last - 1]
+    adjacent = len(last_back) < len(earlier[last])  # last vertex ~ second-to-last
 
     images = [0] * m
 
@@ -102,8 +136,13 @@ def count_partite_copies(instance: PartiteInstance) -> int:
             cand &= rows[images[j]]
             if not cand:
                 return 0
-        if level == m - 1:
-            return cand.bit_count()
+        if level == last - 1:
+            base = part_masks[last] & ~used
+            for j in last_back:
+                base &= rows[images[j]]
+            if adjacent:  # no loops in the host, so w never lands in rows[w]
+                return sum((rows[w] & base).bit_count() for w in iter_bits(cand))
+            return base.bit_count() * cand.bit_count() - (cand & base).bit_count()
         total = 0
         for w in iter_bits(cand):
             images[level] = w
@@ -175,7 +214,12 @@ def _suffix_pattern(instance: SuffixInstance) -> tuple[Pattern, tuple[VertexSet,
 
 
 def suffix_count(instance: SuffixInstance) -> int:
-    """Copies of the induced suffix pattern with each y inside w_sets[y]."""
+    """Copies of the induced suffix pattern with each y inside w_sets[y],
+    counted once per instance."""
+    return _cached_count(instance, _suffix_backtrack)
+
+
+def _suffix_backtrack(instance: SuffixInstance) -> int:
     pattern, parts = _suffix_pattern(instance)
     return count_partite_copies(PartiteInstance(pattern, instance.base.host, parts))
 
@@ -289,13 +333,17 @@ def optialpha_check(p: float, b: Sequence[int]) -> OptialphaResult:
             f"optialpha enumeration ({(cap_p + 1) ** q} vectors) exceeds capacity {OPTIALPHA_CAP}"
         )
     c_exp = max(bi + i for i, bi in enumerate(b, start=1))
-    total = 0.0
-    for alpha in itertools.product(range(cap_p + 1), repeat=q):
-        if not any(alpha):
-            continue
-        num = 2.0 ** sum(alpha)
-        den = max(2.0 ** (2 * a) * p ** bi for a, bi in zip(alpha, b) if a != 0)
-        total += num / den
+    pb = np.array([p**bi for bi in b])[:, None]
+    if max(q, 2) * cap_p > 1023 or not pb.all():
+        raise ParameterError(f"p = {p!r} is too small: the alpha sum leaves the double range")
+    total, count = 0.0, (cap_p + 1) ** q
+    for start in range(0, count, OPTIALPHA_CHUNK):
+        flat = np.arange(start, min(start + OPTIALPHA_CHUNK, count))
+        alpha = np.array(np.unravel_index(flat, (cap_p + 1,) * q))  # itertools.product order
+        num = np.ldexp(1.0, alpha.sum(axis=0))
+        den = np.where(alpha != 0, np.ldexp(1.0, 2 * alpha) * pb, 0.0).max(axis=0)
+        terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)  # 0 for alpha = 0 only
+        total = float(np.cumsum(np.concatenate(([total], terms)))[-1])  # sequential, as the += loop
     bound = (50.0 * q) ** q * p ** (1 - c_exp)
     return OptialphaResult(
         lhs_sum=total,

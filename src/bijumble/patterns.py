@@ -266,6 +266,11 @@ def _search(graph: Graph, objective: str, strategy: str) -> tuple[int, ...]:
     prefix's largest term bounds every completion, and a prefix whose bound
     is ``>= best`` holds no strictly better order: the search returns the
     first optimum in ``itertools.permutations`` order, or the incumbent.
+    A placed vertex's terms depend only on the vertex and the set placed
+    before it, not on their order, so they are memoised on (v, placed set):
+    the memo changes no value the search compares, only how often ``_terms``
+    runs (Petersen: 1,760 distinct keys for 24,540 calls), and it holds at
+    most n 2^(n-1) entries, 24,576 at ``BRANCH_AND_BOUND_LIMIT``.
     """
     n = graph.vertex_count
     rows = graph.rows
@@ -281,6 +286,7 @@ def _search(graph: Graph, objective: str, strategy: str) -> tuple[int, ...]:
     # this floor and an incumbent already at the floor is cut at the root
     floor = 500 + 500 * graph.max_degree() if objective == "two_sided" else 0
     prefix: list[int] = []
+    terms: dict[tuple[int, int], int] = {}  # (v, placed before v) -> objective term
 
     def dfs(placed_mask: int, bound_so_far: int):
         nonlocal best, best_seq
@@ -293,7 +299,9 @@ def _search(graph: Graph, objective: str, strategy: str) -> tuple[int, ...]:
             bit = 1 << v
             if placed_mask & bit:
                 continue
-            term = _objective(*_terms(rows, v, placed_mask), objective)
+            term = terms.get((v, placed_mask))
+            if term is None:
+                term = terms[v, placed_mask] = _objective(*_terms(rows, v, placed_mask), objective)
             prefix.append(v)
             dfs(placed_mask | bit, max(bound_so_far, term))
             prefix.pop()

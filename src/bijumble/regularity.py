@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from ._numeric import ABS_TOL, leq
-from ._subsets import DEFAULT_ENUM_CAP, min_size, regularity_budget, scan
+from ._subsets import DEFAULT_ENUM_CAP, min_size, regularity_budget, scan, within_cap
 from .errors import CapacityError, ParameterError
 from .graphs import BipartitePairView, VertexSet, p_density, pair_block
 from .graphs import bool_matrix  # noqa: F401  perfbench/spans.py wraps it by this name
@@ -89,12 +89,16 @@ def _validate_shape(shape: tuple[int, int], epsilon: float, p: float):
         raise ParameterError("both sides must be nonempty")
 
 
+def _within_cap(shape: tuple[int, int], epsilon: float) -> bool:
+    n = min(shape)
+    return within_cap(n, min_size(epsilon, n))
+
+
 def _require_budget(shape: tuple[int, int], epsilon: float):
-    budget = regularity_budget(shape, epsilon)
-    if budget > DEFAULT_ENUM_CAP:
+    if not _within_cap(shape, epsilon):
         raise CapacityError(
-            f"exact regularity would enumerate {budget} subsets of a {min(shape)}-vertex side "
-            f"(capacity {DEFAULT_ENUM_CAP})"
+            f"exact regularity would enumerate {regularity_budget(shape, epsilon)} subsets of a "
+            f"{min(shape)}-vertex side (capacity {DEFAULT_ENUM_CAP})"
         )
 
 
@@ -271,8 +275,7 @@ def apply_density_floor(verdict: RegularityVerdict, d: float) -> RegularityVerdi
 def _auto_method(pair: BipartitePairView, epsilon: float) -> str:
     """"exact" when the pair's subset budget fits ``DEFAULT_ENUM_CAP``,
     "sampled" otherwise."""
-    shape = (len(pair.left), len(pair.right))
-    return "exact" if regularity_budget(shape, epsilon) <= DEFAULT_ENUM_CAP else "sampled"
+    return "exact" if _within_cap((len(pair.left), len(pair.right)), epsilon) else "sampled"
 
 
 def _verdict(

@@ -47,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from bijumble._numeric import leq
+from bijumble._numeric import REL_TOL, leq
 from bijumble._subsets import min_size
 from bijumble._subsets import subset_budget as _subset_budget
 from bijumble.embeddings import PartiteInstance
@@ -374,6 +374,19 @@ def brute_force_partite_copies(instance: PartiteInstance, cap: int = 10**6) -> i
             continue
         if all(g.has_edge(assignment[u], assignment[v]) for u, v in edges):
             total += 1
+    return total
+
+
+def optialpha_lhs_sum(p: float, b) -> float:
+    """The alpha-vector sum of ``optialpha_check`` as a per-vector ``+=`` loop."""
+    cap_p = int(math.floor(math.log2(1.0 / p) + REL_TOL))
+    total = 0.0
+    for alpha in itertools.product(range(cap_p + 1), repeat=len(b)):
+        if not any(alpha):
+            continue
+        num = 2.0 ** sum(alpha)
+        den = max(2.0 ** (2 * a) * p**bi for a, bi in zip(alpha, b) if a != 0)
+        total += num / den
     return total
 
 

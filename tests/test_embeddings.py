@@ -8,6 +8,7 @@ from bijumble.errors import CapacityError, ParameterError
 from bijumble.graphs import Graph, VertexSet, complete_bipartite, complete_graph
 from bijumble.patterns import Pattern
 from bijumble.embeddings import (
+    OPTIALPHA_CHUNK,
     PartiteInstance,
     SuffixInstance,
     count_partite_copies,
@@ -18,7 +19,7 @@ from bijumble.embeddings import (
     suffix_count,
 )
 from bijumble.experiments import gen_tripartite, sparsify
-from reference import brute_force_partite_copies
+from reference import brute_force_partite_copies, optialpha_lhs_sum
 
 K3 = complete_graph(3)
 
@@ -88,6 +89,31 @@ def test_count_matches_brute_force_random(rnd):
         host = random_host(sum(sizes), 0.5, rnd.randint(0, 999))
         inst = PartiteInstance(pat, host, blocks(sizes))
         assert count_partite_copies(inst) == brute_force_partite_copies(inst)
+
+
+def test_flat_last_level_matches_brute_force():
+    # random patterns, orders and parts on 1-4 vertices; parts of
+    # non-adjacent vertices may overlap, so the last level must stay injective
+    rnd = random.Random(19)
+    seen = {"adjacent": 0, "overlapping": 0}
+    for m in range(1, 5):
+        for _ in range(100):
+            edges = [e for e in itertools.combinations(range(m), 2) if rnd.random() < 0.6]
+            order = tuple(rnd.sample(range(m), m))
+            host = random_host(8, 0.6, rnd.randint(0, 999))
+            parts = tuple(VertexSet.of(rnd.sample(range(8), rnd.randint(1, 4))) for _ in range(m))
+            try:
+                inst = PartiteInstance(Pattern(Graph.from_edges(m, edges), order), host, parts)
+            except ParameterError:  # adjacent vertices with overlapping parts
+                continue
+            assert count_partite_copies(inst) == brute_force_partite_copies(inst), (edges, order, parts)
+            if m > 1:
+                u, v = order[-2:]
+                if inst.pattern.graph.has_edge(u, v):
+                    seen["adjacent"] += 1
+                elif parts[u].mask & parts[v].mask:
+                    seen["overlapping"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_order_invariance(rnd):
@@ -219,6 +245,40 @@ def test_optialpha_validation():
         optialpha_check(0.25, [1, -1])
     with pytest.raises(CapacityError):
         optialpha_check(2.0 ** -40, [1, 1, 1, 1, 1, 1])
+
+
+@pytest.mark.parametrize("q", range(1, 8))
+def test_optialpha_sum_is_the_loops_sum_bit_for_bit(q):
+    # non-dyadic p, so the terms round; p^b stays clear of underflow
+    rnd = random.Random(q)
+    for _ in range(4):
+        cap_p = rnd.randint(1, min(150, round(20000 ** (1 / q)) - 1))
+        p = 2.0 ** -(cap_p + rnd.uniform(0.05, 0.95))
+        b = sorted((rnd.randint(0, 6) for _ in range(q)), reverse=True)
+        assert optialpha_check(p, b).lhs_sum == optialpha_lhs_sum(p, b), (p, b)
+
+
+OPTIALPHA_CHUNK_CASES = [
+    (0.09, [5, 4, 2, 2, 1]),  # 4^5 vectors: below one chunk
+    (0.1, [4, 3, 3, 1, 0, 0]),  # 4^6: exactly one chunk
+    (0.006, [6, 5, 2, 1]),  # 8^4: exactly one chunk
+    (0.11, [6, 4, 4, 3, 2, 1, 1]),  # 4^7: four chunks
+    (0.003, [5, 3, 3, 0, 0]),  # 9^5: fifteen chunks, the last one partial
+]
+
+
+def test_optialpha_sum_around_one_chunk():
+    sizes = [(int(math.log2(1 / p)) + 1) ** len(b) for p, b in OPTIALPHA_CHUNK_CASES]
+    assert sizes == [1024, 4096, 4096, 16384, 59049] and OPTIALPHA_CHUNK == 4096
+    for p, b in OPTIALPHA_CHUNK_CASES:
+        assert optialpha_check(p, b).lhs_sum == optialpha_lhs_sum(p, b), (p, b)
+
+
+def test_optialpha_rejects_p_whose_terms_leave_the_double_range():
+    with pytest.raises(ParameterError):
+        optialpha_check(2.0**-600, [1])  # 2^(2 alpha) overflows
+    with pytest.raises(ParameterError):
+        optialpha_check(2.0**-400, [3])  # p^3 underflows to 0
 
 
 def test_optialpha_exhaustive_sweep_small():

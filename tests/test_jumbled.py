@@ -199,6 +199,19 @@ def test_cholesky_factors_definite_and_rejects_indefinite():
     assert not jumbled._cholesky(indefinite)
 
 
+def test_blocked_cholesky_over_several_panels():
+    # 300 rows: two full 128-row panels and a partial one
+    x = np.random.default_rng(6).standard_normal((300, 320))
+    b = x @ x.T
+    r = b.copy()
+    assert jumbled._cholesky(r)
+    assert np.allclose(np.triu(r), np.linalg.cholesky(b).T, rtol=1e-9, atol=1e-10)
+    assert np.array_equal(np.tril(r, -1), np.tril(b, -1))
+    indefinite = b.copy()
+    indefinite[270, 270] = -1.0  # the first pivot <= 0 is in the third panel
+    assert not jumbled._cholesky(indefinite)
+
+
 def test_spectral_retries_once_with_a_wider_shift(monkeypatch, rnd):
     real, calls = jumbled._cholesky, []
 

@@ -14,6 +14,7 @@ from bijumble.errors import ParameterError
 from bijumble.graphs import format_edge_list, triangle_book, complete_graph, Graph
 from bijumble.patterns import Pattern, format_pattern
 import bijumble
+from bijumble import embeddings
 from bijumble._numeric import slack
 from bijumble.reports import (
     AuditReport,
@@ -277,7 +278,8 @@ def test_cli_certify_and_regularity(tmp_path, capsys):
     assert code == 0 and "regular=" in out
 
 
-def test_cli_count_instance(tmp_path, capsys):
+def _complete_tri_instance(tmp_path):
+    """A K3 instance in the complete tripartite graph on three parts of 3."""
     pat = tmp_path / "tri.pat"
     pat.write_text(format_pattern(Pattern.identity(complete_graph(3))))
     host = tmp_path / "host.el"
@@ -287,12 +289,32 @@ def test_cli_count_instance(tmp_path, capsys):
     inst.write_text(
         "pattern: tri.pat\nhost: host.el\npart 0: 0 1 2\npart 1: 3 4 5\npart 2: 6 7 8\n"
     )
+    return inst
+
+
+def test_cli_count_instance(tmp_path, capsys):
+    inst = _complete_tri_instance(tmp_path)
     code = run_cli(["count", "--instance", str(inst)])
     out = capsys.readouterr().out
     assert code == 0 and "count=27" in out
     code = run_cli(["suffix", "--instance", str(inst), "--x", "1", "--w", "1:3,4", "--w", "2:6..8"])
     out = capsys.readouterr().out
     assert code == 0 and "suffix_count=6" in out
+
+
+def test_count_and_suffix_audits_backtrack_once(tmp_path, monkeypatch, capsys):
+    # the printed count and the audit's measured count are one backtracking run
+    real, calls = embeddings._backtrack, []
+    monkeypatch.setattr(embeddings, "_backtrack", lambda instance: calls.append(1) or real(instance))
+    inst = str(_complete_tri_instance(tmp_path))
+    out = ["--out", str(tmp_path / "reports")]
+    run_cli(["count", "--instance", inst, "--p", "0.5", "--gamma", "0.5", *out])
+    assert len(calls) == 1 and "count=27" in capsys.readouterr().out
+    run_cli(["suffix", "--instance", inst, "--x", "1", "--w", "1:3,4", "--w", "2:6..8",
+             "--p", "0.05", "--eps", "0.5", *out])
+    assert len(calls) == 2 and "suffix_count=6" in capsys.readouterr().out
+    reports = [json.loads(path.read_text()) for path in sorted((tmp_path / "reports").glob("*.json"))]
+    assert sorted(rep["measured"] for rep in reports) == [6, 27]
 
 
 def _edge_count_argv(tmp_path):

@@ -63,6 +63,17 @@ def test_capacity_error_before_any_enumeration(monkeypatch):
         exact_regularity(pr, 0.01, 0.5)
 
 
+def test_within_cap_and_auto_method_agree_with_the_exact_sum():
+    for n in range(1, 41):
+        for smallest in range(1, n + 2):
+            assert _subsets.within_cap(n, smallest) == (
+                _subsets.subset_budget(n, smallest) <= _subsets.DEFAULT_ENUM_CAP
+            ), (n, smallest)
+        for eps in (0.05, 0.2, 0.35, 0.5, 0.8, 0.95):
+            fits = _subsets.regularity_budget((n, 41), eps) <= _subsets.DEFAULT_ENUM_CAP
+            assert regularity._auto_method(complete_bipartite(n, 41), eps) == ("exact" if fits else "sampled")
+
+
 def test_budget_helpers():
     assert _subsets.subset_budget(4, 1) == 15
     assert _subsets.subset_budget(4, 3) == 5
