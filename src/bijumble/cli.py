@@ -160,7 +160,7 @@ def _cmd_certify(args) -> int:
             measured=cert.gamma,
             bound=None,
             bound_kind="none",
-            parameters={"method": cert.method, "p": args.p, **cert.to_record()},
+            parameters=cert.to_record(),
             seed=args.seed,
         )
         return _emit(report, args.out)
@@ -183,6 +183,10 @@ def _cmd_regularity(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    if args.q is None and (args.p is not None or args.c_prime is not None):
+        raise ParameterError("--p and --c-prime need --q")
+    if (args.p is None) != (args.c_prime is None):
+        raise ParameterError("--p and --c-prime must be given together")
     pair = _pair_from_args(args)
     if args.q is None:
         if args.c4:
@@ -201,6 +205,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    if args.gamma is not None and args.p is None:
+        raise ParameterError("--gamma needs --p")
     instance = _load_instance(args.instance)
     count = embeddings.count_partite_copies(instance)
     print(f"count={count}")
@@ -216,10 +222,12 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_suffix(args) -> int:
+    if (args.p is None) != (args.eps is None):
+        raise ParameterError("--p and --eps must be given together")
     instance = _load_instance(args.instance)
     suffix = embeddings.SuffixInstance(instance, args.x, dict(args.w or []))
     print(f"suffix_count={embeddings.suffix_count(suffix)}")
-    if args.p is not None and args.eps is not None:
+    if args.p is not None:
         report = embeddings.suffix_bound_audit(suffix, args.p, args.eps, mode=args.mode, seed=args.seed)
         return _emit(report, args.out)
     return 0
@@ -236,8 +244,8 @@ def _cmd_optialpha(args) -> int:
 
 
 def _cmd_inherit(args) -> int:
-    if args.plan:  # the file's seed wins: --seed cannot be told from its default
-        keys = [key for key in experiments.ExperimentPlan._FIELD_TYPES if key != "seed"] + ["plant"]
+    if args.plan:
+        keys = [*experiments.ExperimentPlan._FIELD_TYPES, "plant"]
         if flags := ["--" + k.replace("_", "-") for k in keys if getattr(args, k) is not None]:
             raise ParameterError(f"{' '.join(flags)} cannot be combined with --plan; pass the plan as flags")
         with open(args.plan, "r", encoding="utf-8") as fh:
@@ -455,9 +463,9 @@ def _apply_config(args):
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = RunConfig.from_text(fh.read())
-    if getattr(args, "seed", "absent") is None:
-        args.seed = cfg.seed if cfg else 0
-    if getattr(args, "seed", 0) < 0:
+    if getattr(args, "seed", "absent") is None and not getattr(args, "plan", None):
+        args.seed = cfg.seed if cfg else 0  # with --plan the file alone holds the seed
+    if (getattr(args, "seed", None) or 0) < 0:
         raise ParameterError(f"seed {args.seed} must be non-negative")
     if getattr(args, "out", "absent") is None:
         args.out = os.environ.get(ENV_OUT_DIR) or (cfg.out_dir if cfg else None)

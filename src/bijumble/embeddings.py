@@ -37,6 +37,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import jumbled
 from ._numeric import REL_TOL, geq, leq
 from .errors import CapacityError, ParameterError
 from .graphs import BipartitePairView, Graph, VertexSet, iter_bits, p_density
@@ -260,13 +261,10 @@ def suffix_bound_audit(
 
     beta_certified = beta is None  # spectrally measured = sound; supplied = assumed
     if beta is None:
-        # looked up per call, so perfbench/spans.py's wrapper of jumbled's binding sees it
-        from .jumbled import spectral_jumble_bound
-
         beta = 0.0
         for u, v in pattern.graph.edges():
             pr = BipartitePairView(base.host, base.parts[u], base.parts[v])
-            cert = spectral_jumble_bound(pr, p)
+            cert = jumbled.spectral_jumble_bound(pr, p)
             beta = max(beta, cert.gamma / math.sqrt(len(base.parts[u]) * len(base.parts[v])))
     dmax = pattern.graph.max_degree()
     dt = d_tilde(pattern)

@@ -7,24 +7,24 @@ size thresholds use ceil(eps * side), matching the ">=" in the definition.
 
 The exact decision is the subset enumeration of ``bijumble._subsets``; no
 shortcut assuming deviation monotonicity in |U'| is taken (it is not
-monotone).  ``exact_block_regularity`` runs it on a block its caller has
-already cut, and ``exact_regularity`` cuts the block of a pair view and
-calls it.  The sampled decision draws seeded uniform subsets plus, per
-trial, the degree-sorted prefix refinement against the drawn U'; a sampled
-"regular" verdict only means no violation was found, while a sampled
-witness is a sound refutation.
+monotone).  ``exact_regularity`` checks the subset budget, cuts the pair
+view's 0/1 block and calls ``exact_block_regularity``, which runs the
+enumeration on a block its caller has already cut.  The sampled decision
+draws seeded uniform subsets plus, per trial, the degree-sorted prefix
+refinement against the drawn U'; a sampled "regular" verdict only means no
+violation was found, while a sampled witness is a sound refutation.
 
-The sampled trials run together in one kernel: ``draw_subsets`` draws
-every U', then every W', from one ``numpy.random.default_rng(seed)``
-stream, the pair's 0/1 block is cut once, and blocks of trials take the
+The sampled trials run together in one kernel, ``_sampled_trials``:
+``draw_subsets`` draws every U', then every W', from one
+``numpy.random.default_rng(seed)`` stream, and blocks of trials take the
 column degrees into each U', the drawn pair's density from them, and the
 densest and sparsest prefixes of W from one value sort with cumulative sums
-from both ends.  ``sampled_block_regularity`` compares those candidates in
-the order of a per-trial loop (drawn pair before prefix, densest prefix on
-ties, the first maximum wins) and builds only the winning trial's witness;
-``sampled_block_deviation``, the per-x search of ``bijumble.experiments``,
-takes the same largest deviation and builds no witness.  Both take a block
-their caller has already cut; ``sampled_regularity`` cuts a pair view's.
+from both ends.  ``sampled_regularity`` cuts the pair view's block once,
+compares those candidates in the order of a per-trial loop (drawn pair
+before prefix, densest prefix on ties, the first maximum wins) and builds
+only the winning trial's witness.  ``sampled_block_deviation`` serves the
+per-x search of ``bijumble.experiments``: on a block its caller has already
+cut it takes the same largest deviation and builds no witness.
 
 ``_verdict`` dispatches to the exact or the sampled method, and
 ``_auto_method`` picks exact when the subset budget fits
@@ -39,6 +39,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import jumbled
 from ._numeric import ABS_TOL, leq
 from ._subsets import DEFAULT_ENUM_CAP, min_size, regularity_budget, scan, within_cap
 from .errors import CapacityError, ParameterError
@@ -125,11 +126,6 @@ def exact_block_regularity(
     witness."""
     _validate_shape(sub.shape, epsilon, p)
     _require_budget(sub.shape, epsilon)
-    return _exact_scan(sub, base, left, right, epsilon, p)
-
-
-def _exact_scan(sub: np.ndarray, base: float, left, right, epsilon: float, p: float):
-    """``exact_block_regularity`` without its checks."""
     left, right = np.asarray(left).tolist(), np.asarray(right).tolist()
     swap = sub.shape[0] > sub.shape[1]
     if swap:
@@ -155,8 +151,8 @@ def _exact_scan(sub: np.ndarray, base: float, left, right, epsilon: float, p: fl
 def exact_regularity(pair: BipartitePairView, epsilon: float, p: float) -> RegularityVerdict:
     """Certified verdict with the maximum-deviation witness."""
     _validate(pair, epsilon, p)
-    _require_budget((len(pair.left), len(pair.right)), epsilon)
-    return _exact_scan(
+    _require_budget((len(pair.left), len(pair.right)), epsilon)  # before the block is cut
+    return exact_block_regularity(
         pair_block(pair), p_density(pair, p), pair.left.indices, pair.right.indices, epsilon, p
     )
 
@@ -215,18 +211,18 @@ def _sampled_trials(sub: np.ndarray, base: float, epsilon: float, p: float, tria
 def sampled_block_deviation(
     sub: np.ndarray, base: float, epsilon: float, p: float, trials: int, seed: int
 ) -> float:
-    """The deviation of ``sampled_block_regularity`` on the same arguments,
-    with no witness built."""
+    """The deviation of ``sampled_regularity`` on a pair's 0/1 block, given
+    its base p-density, with no witness built."""
     dens = _sampled_trials(sub, base, epsilon, p, trials, seed)[2]
     return max(float(np.abs(dens - base).max()), 0.0)
 
 
-def sampled_block_regularity(
-    sub: np.ndarray, base: float, left, right, epsilon: float, p: float, trials: int, seed: int
+def sampled_regularity(
+    pair: BipartitePairView, epsilon: float, p: float, trials: int, seed: int
 ) -> RegularityVerdict:
-    """``sampled_regularity`` on a pair's 0/1 block, given its base
-    p-density; ``left`` and ``right`` label the rows and columns for the
-    witness."""
+    """Randomised violation search; deterministic given the seed."""
+    _validate(pair, epsilon, p)
+    sub, base = pair_block(pair), p_density(pair, p)
     us, ws, dens, ref_t, ref_top = _sampled_trials(sub, base, epsilon, p, trials, seed)
     # candidates in trial order, drawn pair before prefix; a later one replaces
     # the current worst only if strictly larger, so the first maximum wins
@@ -242,22 +238,11 @@ def sampled_block_regularity(
     else:
         wpos = ws[j]
     witness = (
-        VertexSet.of(np.asarray(left)[us[j]].tolist()),
-        VertexSet.of(np.asarray(right)[wpos].tolist()),
+        VertexSet.of(np.asarray(pair.left.indices)[us[j]].tolist()),
+        VertexSet.of(np.asarray(pair.right.indices)[wpos].tolist()),
         density,
     )
     return _searched_verdict("sampled", worst, witness, base, epsilon, p)
-
-
-def sampled_regularity(
-    pair: BipartitePairView, epsilon: float, p: float, trials: int, seed: int
-) -> RegularityVerdict:
-    """Randomised violation search; deterministic given the seed."""
-    _validate(pair, epsilon, p)
-    return sampled_block_regularity(
-        pair_block(pair), p_density(pair, p), pair.left.indices, pair.right.indices,
-        epsilon, p, trials, seed,
-    )
 
 
 def below_density_floor(base: float, epsilon: float, d: float) -> bool:
@@ -378,10 +363,7 @@ def extend_and_check(
         raise ParameterError("hypothesis violated: |V'| <= (1 + eps^3/10)|V|")
 
     base_verdict = check_eps_d_p(base, epsilon, d, p, method=method, trials=trials, seed=seed)
-    # looked up per call, so perfbench/spans.py's wrapper of jumbled's binding sees it
-    from .jumbled import spectral_jumble_bound
-
-    jumble_gamma = spectral_jumble_bound(extended, p).gamma
+    jumble_gamma = jumbled.spectral_jumble_bound(extended, p).gamma
     gamma_budget = c * p * math.sqrt(len(base.left) * len(base.right))
     jumble_ok = leq(jumble_gamma, gamma_budget)
     details = {

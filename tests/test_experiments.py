@@ -60,6 +60,16 @@ def test_plan_validation():
         ExperimentPlan("one_sided", 5, 5, 5, 0.5, 0.5, 0.3, seed=1, eps=1.5)
 
 
+def test_inheritance_experiment_rejects_an_unknown_lemma(monkeypatch):
+    def cut(*args):
+        raise AssertionError("a block was cut before the lemma was checked")
+
+    monkeypatch.setattr(experiments, "pair_block", cut)
+    monkeypatch.setattr(experiments, "check_eps_d_p", cut)
+    with pytest.raises(ParameterError, match="unknown lemma 'three_sided'"):
+        experiments.inheritance_experiment(build(6, 0.4, 0.6, 31), 0.3, 0.5, 0.4, lemma="three_sided")
+
+
 def test_plan_from_values_required_keys_and_d_range():
     values = dict(lemma="one_sided", nx=5, ny=5, nz=5, p=0.5, d=1.0, eps_prime=0.3, seed=1, eps=None)
     assert ExperimentPlan.from_values(values) == ExperimentPlan("one_sided", 5, 5, 5, 0.5, 1.0, 0.3, seed=1)

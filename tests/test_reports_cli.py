@@ -14,7 +14,7 @@ from bijumble.errors import ParameterError
 from bijumble.graphs import format_edge_list, triangle_book, complete_graph, Graph
 from bijumble.patterns import Pattern, format_pattern
 import bijumble
-from bijumble import embeddings
+from bijumble import cli, embeddings
 from bijumble._numeric import slack
 from bijumble.reports import (
     AuditReport,
@@ -302,6 +302,46 @@ def test_cli_count_instance(tmp_path, capsys):
     assert code == 0 and "suffix_count=6" in out
 
 
+def _refused_before_loading(monkeypatch, capsys, loader, runs):
+    """Each argv of ``runs`` exits 2 naming its flags, with nothing printed
+    and the ``cli`` attribute ``loader`` never called."""
+    real, loaded = getattr(cli, loader), []
+    monkeypatch.setattr(cli, loader, lambda path: loaded.append(path) or real(path))
+    for argv, flags in runs:
+        code = run_cli(argv)
+        out, err = capsys.readouterr()
+        assert (code, out, loaded) == (2, "", []), (argv, err)
+        assert all(flag in err for flag in flags), (argv, err)
+
+
+def test_cli_count_refuses_gamma_without_p(tmp_path, monkeypatch, capsys):
+    argv = ["count", "--instance", str(_complete_tri_instance(tmp_path)), "--gamma", "0.5",
+            "--out", str(tmp_path / "reports")]
+    _refused_before_loading(monkeypatch, capsys, "_load_instance", [(argv, ["--gamma", "--p"])])
+    assert not (tmp_path / "reports").exists()
+
+
+def test_cli_suffix_refuses_p_or_eps_alone(tmp_path, monkeypatch, capsys):
+    argv = ["suffix", "--instance", str(_complete_tri_instance(tmp_path)), "--x", "1",
+            "--w", "1:3,4", "--w", "2:6..8"]
+    _refused_before_loading(monkeypatch, capsys, "_load_instance", [
+        (argv + ["--p", "0.05"], ["--p", "--eps"]),
+        (argv + ["--eps", "0.5"], ["--p", "--eps"]),
+    ])
+
+
+def test_cli_census_refuses_hypothesis_flags_it_would_ignore(tmp_path, monkeypatch, capsys):
+    graph = tmp_path / "m3.el"
+    graph.write_text("n=6\n0 3\n1 4\n2 5\n")
+    argv = ["census", "--graph", str(graph), "--left", "0..2", "--right", "3..5", "--c4"]
+    _refused_before_loading(monkeypatch, capsys, "load_graph", [
+        (argv + ["--p", "0.3"], ["--p", "--q"]),
+        (argv + ["--c-prime", "2.0"], ["--c-prime", "--q"]),
+        (argv + ["--q", "0.3", "--c-prime", "2.0"], ["--p", "--c-prime"]),
+        (argv + ["--q", "0.3", "--p", "0.3"], ["--p", "--c-prime"]),
+    ])
+
+
 def test_count_and_suffix_audits_backtrack_once(tmp_path, monkeypatch, capsys):
     # the printed count and the audit's measured count are one backtracking run
     real, calls = embeddings._backtrack, []
@@ -403,7 +443,8 @@ def test_cli_inherit_plan_rejects_plant(tmp_path, capsys):
     assert code == 2 and "--plan" in err and "--plant" in err
 
 
-@pytest.mark.parametrize("flag", [["--trials", "1"], ["--lemma", "two_sided"], ["--nx", "5"]], ids=lambda f: f[0])
+@pytest.mark.parametrize("flag", [["--trials", "1"], ["--lemma", "two_sided"], ["--nx", "5"], ["--seed", "5"]],
+                         ids=lambda f: f[0])
 def test_cli_inherit_plan_rejects_plan_key_flags(tmp_path, capsys, flag):
     missing = tmp_path / "missing.plan"  # the flags are refused before the file is read
     code = run_cli(["inherit", "--plan", str(missing), *flag, "--out", str(tmp_path)])
