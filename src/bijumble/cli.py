@@ -245,7 +245,7 @@ def _cmd_optialpha(args) -> int:
 
 def _cmd_inherit(args) -> int:
     if args.plan:
-        keys = [*experiments.ExperimentPlan._FIELD_TYPES, "plant"]
+        keys = [*experiments.ExperimentPlan._FIELD_TYPES, "plant", "config"]  # a config holds a seed
         if flags := ["--" + k.replace("_", "-") for k in keys if getattr(args, k) is not None]:
             raise ParameterError(f"{' '.join(flags)} cannot be combined with --plan; pass the plan as flags")
         with open(args.plan, "r", encoding="utf-8") as fh:
@@ -417,7 +417,13 @@ def build_parser() -> argparse.ArgumentParser:
     for key, kind in experiments.ExperimentPlan._FIELD_TYPES.items():
         if key != "seed":  # the plan's keys as flags; --seed comes from add_out
             p.add_argument("--" + key.replace("_", "-"), type=kind)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="threads, capped at the core count; from 2, one computes the hypothesis "
+        "evidence while the others run the per-x search",
+    )
     p.add_argument("--ceiling", type=float, default=0.5, help="relaxed exceptional-fraction ceiling")
     p.add_argument("--plant", type=parse_plant, help="'fraction:boost:seed' negative control")
     add_out(p)

@@ -25,8 +25,11 @@ finds there; the per-x verdicts equal the ``regular``, ``deviation`` and
 ``failure_reason`` of ``check_eps_d_p`` on the per-x pair views.
 
 Everything is seeded; rerunning a plan with the same seed and any worker
-count reproduces outcomes exactly (per-x work is partitioned over disjoint
-index ranges and merged in vertex order).
+count reproduces outcomes exactly.  With w >= 2 workers (capped at the core
+count), w - 1 helper threads run the per-x search over disjoint index
+ranges, merged in vertex order, while the calling thread computes the
+hypothesis evidence: the (Y,Z) check and the spectral certificates, whose
+BLAS products release the GIL.
 """
 
 from __future__ import annotations
@@ -336,27 +339,6 @@ def inheritance_experiment(
     one_sided = lemma == "one_sided"
     x_part, y_part, z_part = system.x, system.y, system.z
 
-    yz_verdict = check_eps_d_p(
-        system.pair("Y", "Z"), eps_hyp, d, p, method=method, trials=trials, seed=seed
-    )
-    evidence = [
-        HypothesisRecord(
-            "yz_regular_in_G",
-            yz_verdict.regular,
-            yz_verdict.method == "exact",
-            {
-                "eps": eps_hyp,
-                "d": d,
-                "method": yz_verdict.method,
-                "deviation": yz_verdict.deviation,
-            },
-        ),
-        _jumble_evidence(system, "X", "Y", p, 1.5 if one_sided else 2.0, False),
-        _jumble_evidence(system, "Y", "Z", p, 2.0 if one_sided else 2.5, True),
-    ]
-    if not one_sided:
-        evidence.append(_jumble_evidence(system, "X", "Z", p, 3.0, False))
-
     xs = x_part.indices
     host_xy = pair_block(system.pair("X", "Y", "host"))
     host_xz = None if one_sided else pair_block(system.pair("X", "Z", "host"))
@@ -382,13 +364,43 @@ def inheritance_experiment(
         regular = leq(dev, eps_prime)
         return PerVertexVerdict(x, regular, dev, None if regular else "irregularity witness", deg_y, deg_z)
 
+    def hypothesis_evidence() -> list[HypothesisRecord]:
+        """The (Y,Z) regularity check and the bijumbledness certificates."""
+        yz_verdict = check_eps_d_p(
+            system.pair("Y", "Z"), eps_hyp, d, p, method=method, trials=trials, seed=seed
+        )
+        evidence = [
+            HypothesisRecord(
+                "yz_regular_in_G",
+                yz_verdict.regular,
+                yz_verdict.method == "exact",
+                {
+                    "eps": eps_hyp,
+                    "d": d,
+                    "method": yz_verdict.method,
+                    "deviation": yz_verdict.deviation,
+                },
+            ),
+            _jumble_evidence(system, "X", "Y", p, 1.5 if one_sided else 2.0, False),
+            _jumble_evidence(system, "Y", "Z", p, 2.0 if one_sided else 2.5, True),
+        ]
+        if not one_sided:
+            evidence.append(_jumble_evidence(system, "X", "Z", p, 3.0, False))
+        return evidence
+
     workers = min(workers, os.cpu_count() or 1)  # more threads than cores gain nothing
-    ranges = _chunk_ranges(len(xs), workers)
-    if len(ranges) == 1:
-        per_x = tuple(map(verdict_at, ranges[0]))
+    if workers == 1:
+        evidence = hypothesis_evidence()
+        per_x = tuple(map(verdict_at, range(len(xs))))
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(lambda r: [verdict_at(i) for i in r], ranges)
+        # the certificates spend their time in BLAS, which releases the GIL,
+        # so they overlap the helpers' interpreter-bound per-x search.  Their
+        # large arrays stay on the calling thread: a helper's own malloc arena
+        # would raise the peak memory.  Leaving the block joins the helpers,
+        # also when the evidence raises.
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            chunks = pool.map(lambda r: [verdict_at(i) for i in r], _chunk_ranges(len(xs), workers - 1))
+            evidence = hypothesis_evidence()
             per_x = tuple(v for chunk in chunks for v in chunk)
     exceptional = sum(1 for v in per_x if not v.regular)
     return InheritanceOutcome(

@@ -246,13 +246,16 @@ class TripartiteSystem:
 def pair_block(view: BipartitePairView) -> np.ndarray:
     """The view's boolean biadjacency block: left rows, right columns.
 
-    Rows are cut first and columns taken second: ``take`` keeps the block
-    C-ordered, where ``[:, right]`` would give an F-ordered one, whose
-    matrix products round differently in the last bits.
+    Two contiguous sides, as every generated part and ``a..b`` spec is, are
+    cut as one slice and copied.  Otherwise rows are cut first and columns
+    taken second: ``take`` keeps the block C-ordered, where ``[:, right]``
+    would give an F-ordered one, whose matrix products round differently in
+    the last bits.
     """
-    left = np.array(view.left.indices, dtype=np.int64)
-    right = np.array(view.right.indices, dtype=np.int64)
-    return bool_matrix(view.graph)[left].take(right, axis=1)
+    left, right, mat = view.left.indices, view.right.indices, bool_matrix(view.graph)
+    if left and right and left[-1] - left[0] == len(left) - 1 and right[-1] - right[0] == len(right) - 1:
+        return mat[left[0] : left[-1] + 1, right[0] : right[-1] + 1].copy()
+    return mat[np.array(left, dtype=np.int64)].take(np.array(right, dtype=np.int64), axis=1)
 
 
 # -- densities and codegrees -------------------------------------------------

@@ -111,12 +111,12 @@ def exact_jumble_gamma(pair: BipartitePairView, p: float) -> JumbleCertificate:
 
 def _gram(block: np.ndarray, p: float) -> np.ndarray:
     """G~ (see ``spectral_jumble_bound``), computed in its upper triangle over
-    2 MiB chunks of the 0/1 block and mirrored into the lower one."""
+    1 MiB float32 chunks of the 0/1 block and mirrored into the lower one."""
     m, n = block.shape
     step = max(1, (1 << 18) // m)
     g = np.zeros((m, m))
     for c in range(0, n, step):
-        f = block[:, c : c + step].astype(np.float64)
+        f = block[:, c : c + step].astype(np.float32)
         for i in range(0, m, step):
             g[i : i + step, i:] += f[i : i + step] @ f[i:].T
     npd, npp = -p * g.diagonal(), n * (p * p)  # C's diagonal holds the row degrees
@@ -191,12 +191,15 @@ def spectral_jumble_bound(pair: BipartitePairView, p: float) -> JumbleCertificat
     Proof.  Transpose so that A is m x n, m <= n, and M = A - pJ; d and c hold
     the row and column degrees of A.  Let u = 2^-53, g_k = ku/(1-ku).
     1. C = AA^T is an integer array, exact in float64 in any summation order
-       (partial sums <= n < 2^53).  G~, symmetric with the upper triangle of
-       fl(fl(fl(C - fl(p d_i)) - fl(p d_j)) + fl(n fl(pp))), rounds each term
-       of MM^T = C - p(d_i + d_j) + np^2 at most four times, so |G~ - MM^T| <=
-       g_5 (C + p d_i + p d_j + np^2).  Row i of C sums to sum_k A_ik c_k <=
-       d_max c_max, so ||G~ - MM^T||_2, at most the largest row sum, is <= E =
-       g_5 (d_max c_max + p(m d_max + sum d) + mnp^2); E = 0 at p = 1.
+       (partial sums <= n < 2^53); ``_gram`` forms it from chunk products
+       taken in float32, exact as well, as a chunk's at most 2^18 < 2^24
+       columns bound every partial sum.  G~, symmetric with the upper
+       triangle of fl(fl(fl(C - fl(p d_i)) - fl(p d_j)) + fl(n fl(pp))),
+       rounds each term of MM^T = C - p(d_i + d_j) + np^2 at most four
+       times, so |G~ - MM^T| <= g_5 (C + p d_i + p d_j + np^2).  Row i of C
+       sums to sum_k A_ik c_k <= d_max c_max, so ||G~ - MM^T||_2, at most the
+       largest row sum, is <= E = g_5 (d_max c_max + p(m d_max + sum d) +
+       mnp^2); E = 0 at p = 1.
     2. B~ = sI - G~ is exact but for b~_ii = fl(s - g~_ii), off by <= u b~_ii.
     3. A completed floating-point Cholesky gives R~^T R~ = B~ + dB, |dB| <=
        g_{m+1} |R~^T||R~| (Higham, Accuracy and Stability of Numerical

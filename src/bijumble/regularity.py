@@ -18,13 +18,14 @@ The sampled trials run together in one kernel, ``_sampled_trials``:
 ``draw_subsets`` draws every U', then every W', from one
 ``numpy.random.default_rng(seed)`` stream, and blocks of trials take the
 column degrees into each U', the drawn pair's density from them, and the
-densest and sparsest prefixes of W from one value sort with cumulative sums
-from both ends.  ``sampled_regularity`` cuts the pair view's block once,
-compares those candidates in the order of a per-trial loop (drawn pair
-before prefix, densest prefix on ties, the first maximum wins) and builds
-only the winning trial's witness.  ``sampled_block_deviation`` serves the
-per-x search of ``bijumble.experiments``: on a block its caller has already
-cut it takes the same largest deviation and builds no witness.
+densest and sparsest prefixes of W from one value sort and one cumulative
+sum, a densest prefix being the total less a sparsest one.
+``sampled_regularity`` cuts the pair view's block once, compares those
+candidates in the order of a per-trial loop (drawn pair before prefix,
+densest prefix on ties, the first maximum wins) and builds only the winning
+trial's witness.  ``sampled_block_deviation`` serves the per-x search of
+``bijumble.experiments``: on a block its caller has already cut it takes the
+same largest deviation and builds no witness.
 
 ``_verdict`` dispatches to the exact or the sampled method, and
 ``_auto_method`` picks exact when the subset budget fits
@@ -196,9 +197,12 @@ def _sampled_trials(sub: np.ndarray, base: float, epsilon: float, p: float, tria
         degs = np.add.reduce(sub[us[part]], axis=1, dtype=acc)
         edges = np.take_along_axis(degs, ws[part], axis=1).sum(axis=1, dtype=np.int64)
         dens[part, 0] = edges / (p * su * sw)
-        asc = np.sort(degs, axis=1)
-        dens_bot = np.cumsum(asc, axis=1, dtype=np.int64)[:, sw - 1:] / scale
-        dens_top = np.cumsum(asc[:, ::-1], axis=1, dtype=np.int64)[:, sw - 1:] / scale
+        # sums[:, k] is the sum of the k smallest degrees, so the k largest
+        # sum to the total less the n_w - k smallest
+        sums = np.zeros((len(degs), n_w + 1), dtype=np.int64)
+        np.cumsum(np.sort(degs, axis=1), axis=1, dtype=np.int64, out=sums[:, 1:])
+        dens_bot = sums[:, sw:] / scale
+        dens_top = (sums[:, -1:] - sums[:, n_w - sw :: -1]) / scale
         dev_top, dev_bot = np.abs(dens_top - base), np.abs(dens_bot - base)
         it, ib = dev_top.argmax(axis=1), dev_bot.argmax(axis=1)
         at = np.arange(len(it))

@@ -2,13 +2,14 @@ import itertools
 import math
 import os
 import random
+import threading
 
 import numpy as np
 import pytest
 
 import reference
 from bijumble import experiments, graphs, regularity
-from bijumble.errors import ParameterError
+from bijumble.errors import BijumbleError, ParameterError
 from bijumble.graphs import BipartitePairView, Graph, TripartiteSystem, VertexSet, bool_matrix
 from bijumble.experiments import (
     ExperimentPlan,
@@ -468,8 +469,45 @@ def test_worker_pool_is_capped_at_the_core_count(monkeypatch):
     system = build(12, 0.4, 0.6, 31)
     want = one_sided_experiment(system, 0.3, 0.5, 0.4, trials=4, seed=2, workers=1)
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
-    for cores, workers, pools in ((3, 5000, [3]), (3, 2, [2]), (None, 5000, [])):
+    for cores, workers, pools in ((3, 5000, [2]), (3, 2, [1]), (None, 5000, [])):
         seen.clear()
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         assert one_sided_experiment(system, 0.3, 0.5, 0.4, trials=4, seed=2, workers=workers) == want
         assert seen == pools
+
+
+def test_workers_give_the_same_outcome_with_the_evidence_on_the_calling_thread(monkeypatch):
+    threads = []
+
+    def recorded(fn):
+        def wrapper(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(experiments, "spectral_jumble_bound", recorded(experiments.spectral_jumble_bound))
+    monkeypatch.setattr(experiments, "check_eps_d_p", recorded(experiments.check_eps_d_p))
+    system = build(40, 0.4, 0.5, 23)
+    for run, calls in ((one_sided_experiment, 3), (two_sided_experiment, 4)):
+        outcomes = []
+        for workers in (1, 2, 3):
+            threads.clear()
+            outcomes.append(run(system, 0.35, 0.5, 0.4, trials=5, seed=4, workers=workers))
+            assert threads == [threading.get_ident()] * calls, workers
+        assert all(o.per_x == outcomes[0].per_x and o.evidence == outcomes[0].evidence for o in outcomes)
+        assert outcomes[1] == outcomes[2] == outcomes[0]
+
+
+def test_no_helper_thread_outlives_a_failing_certificate(monkeypatch):
+    def fail(*args, **kwargs):
+        raise BijumbleError("certificate failed")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(experiments, "spectral_jumble_bound", fail)
+    before = set(threading.enumerate())
+    for workers in (2, 3):
+        with pytest.raises(BijumbleError, match="certificate failed"):
+            two_sided_experiment(build(30, 0.4, 0.5, 29), 0.35, 0.5, 0.4, trials=4, seed=1, workers=workers)
+        assert set(threading.enumerate()) == before

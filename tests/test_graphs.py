@@ -238,6 +238,22 @@ def test_bool_matrix_is_read_only_and_cached():
             mat |= True
 
 
+def test_pair_block_range_path_equals_fancy_index_path():
+    rng = np.random.default_rng(5)
+    upper = np.triu(rng.random((40, 40)) < 0.4, 1)
+    g = Graph._of_matrix(upper | upper.T)
+    mat = graphs.bool_matrix(g)
+    for left, right in ((range(0, 10), range(10, 40)), (range(25, 40), range(3, 4)), (range(7, 8), range(0, 7))):
+        view = BipartitePairView(g, VertexSet.of(left), VertexSet.of(right))
+        block = graphs.pair_block(view)
+        want = mat[np.array(left)].take(np.array(right), axis=1)
+        assert np.array_equal(block, want) and block.flags.c_contiguous and block.flags.writeable
+        assert not np.shares_memory(block, mat)
+    # one side with a gap takes the fancy-index path
+    view = BipartitePairView(g, VertexSet.of([0, 2, 3]), VertexSet.range(10, 20))
+    assert np.array_equal(graphs.pair_block(view), mat[[0, 2, 3]][:, 10:20])
+
+
 def test_density_examples():
     assert density(complete_bipartite(3, 4)) == 1
     assert density(perfect_matching(3)) == Fraction(1, 3)

@@ -351,6 +351,22 @@ def test_both_methods_reject_p_outside_unit_interval(p, tmp_path, capsys):
         assert code == 2 and "p must lie in (0,1]" in captured.err and not captured.out
 
 
+@pytest.mark.parametrize(
+    "m,n,p",
+    [(1, 50, 0.4), (30, 1, 0.3), (1, 1, 0.5), (20, 35, 1.0), (700, 1000, 0.3), (300, 1200, 0.2)],
+)
+def test_gram_equals_a_float64_reference(m, n, p):
+    # 700 x 1000 and 300 x 1200 span several 2^18 / m-column chunks in both directions
+    a = np.random.default_rng(m * 7919 + n).random((m, n)) < 0.5
+    f = a.astype(np.float64)
+    c = f @ f.T
+    npd = -p * c.diagonal()
+    want = ((c + npd[:, None]) + npd[None, :]) + n * (p * p)  # the rounding order of _gram
+    g = jumbled._gram(a, p)
+    upper = np.triu_indices(m)
+    assert np.array_equal(g[upper], want[upper]) and np.array_equal(g, g.T), (m, n, p)
+
+
 def _assert_lanczos_matches_eigvalsh(a, p):
     g = jumbled._gram(a if a.shape[0] <= a.shape[1] else a.T, p)
     assert np.array_equal(g, g.T)  # the lower triangle, which eigvalsh reads, mirrors the upper

@@ -453,6 +453,33 @@ def test_cli_inherit_plan_rejects_plan_key_flags(tmp_path, capsys, flag):
     assert not list(tmp_path.glob("*"))
 
 
+def test_cli_inherit_plan_rejects_a_config_and_its_seed(tmp_path, capsys):
+    plan = tmp_path / "one.plan"
+    plan.write_text("lemma = one_sided\nnx = 6\nny = 6\nnz = 6\np = 0.4\nd = 0.9\neps_prime = 0.3\nseed = 1\n")
+    cfg = tmp_path / "cfg"
+    cfg.write_text("seed = 99\n")
+    out = tmp_path / "out"
+    code = run_cli(["inherit", "--plan", str(plan), "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and "--config cannot be combined with --plan" in err, err
+    assert not out.exists()
+
+
+def test_cli_two_sided_plan_report_is_the_same_with_two_workers(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so that two workers start a helper thread
+    plan = tmp_path / "two.plan"
+    plan.write_text("lemma = two_sided\nnx = 30\nny = 120\nnz = 120\np = 0.4\nd = 0.6\n"
+                    "eps_prime = 0.35\ntrials = 4\nseed = 3\n")
+    reports = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"out{workers}"
+        run_cli(["inherit", "--plan", str(plan), "--ceiling", "1.0", "--workers", workers, "--out", str(out)])
+        (path,) = out.glob("*.json")
+        reports.append(_mask_wall(path.read_text()))
+    assert capsys.readouterr().out.count("two_sided: exceptional") == 2
+    assert reports[0] == reports[1] and "bijumbled_XZ" in reports[0]
+
+
 def test_cli_malformed_config_value_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg"
     cfg.write_text("seed = 1\nworkers = two\n")
