@@ -11,9 +11,14 @@ is counted flat: at the second-to-last vertex's candidates w, the last
 vertex has sum_w |N(w) & base| images if the two are adjacent, else
 |base| |cand| - |cand & base| (an injective pair cannot share w), where
 ``base`` is its part minus the used vertices, cut by its other earlier
-neighbours.  Instances are frozen, so ``count_partite_copies`` and
-``suffix_count`` cache their count on the instance: the CLI's count and
-its audit's count are one backtracking run.
+neighbours.  The adjacent sum is taken over batches of second-to-last-level
+nodes as the 0/1 matrix product sum((C A) * B): C and B hold the nodes'
+``cand`` and ``base`` as rows over the last two parts, and A is the host
+block between them.  It is evaluated over the nonzeros of C as popcounts of
+A's and B's rows packed in 64-bit words, so every term is an integer and
+the int64 sum is exact (``_LastEdge``).  Instances are frozen, so
+``count_partite_copies`` and ``suffix_count`` cache their count on the
+instance: the CLI's count and its audit's count are one backtracking run.
 
 ``suffix_count`` restricts to the pattern vertices at positions >= x with
 per-vertex window sets W_y, and ``suffix_bound_audit`` compares it against
@@ -46,6 +51,7 @@ from .reports import AuditReport, HypothesisRecord, make_report
 
 OPTIALPHA_CAP = 10**8
 OPTIALPHA_CHUNK = 4096  # alpha vectors per numpy pass; larger chunks raise peak memory
+PARTITE_BATCH_BYTES = 1 << 16  # temporary arrays of one batch of last-level nodes
 
 
 @dataclass(frozen=True)
@@ -111,12 +117,20 @@ def _cached_count(instance, count) -> int:
 
 
 def _backtrack(instance: PartiteInstance) -> int:
-    """``count_partite_copies`` by ordered backtracking with a flat last level."""
+    """``count_partite_copies`` by ordered backtracking with a flat last level.
+
+    When the last two pattern vertices are adjacent, a second-to-last-level
+    node queues its ``cand`` and ``base`` on a ``_LastEdge`` instead of
+    summing |N(w) & base| over w in ``cand``; the queue is counted whenever
+    a batch is full and once more after the recursion.
+    """
     pattern, host = instance.pattern, instance.host
     seq = pattern.sequence
     m = len(seq)
     if m == 0:
         return 1
+    if not all(instance.parts):  # a pattern vertex with no image
+        return 0
     if m == 1:
         return len(instance.parts[0])
     rows = host.rows
@@ -128,6 +142,7 @@ def _backtrack(instance: PartiteInstance) -> int:
     last = m - 1
     last_back = [j for j in earlier[last] if j != last - 1]
     adjacent = len(last_back) < len(earlier[last])  # last vertex ~ second-to-last
+    edge = _LastEdge(rows, instance.parts[seq[last - 1]], instance.parts[seq[last]]) if adjacent else None
 
     images = [0] * m
 
@@ -141,8 +156,10 @@ def _backtrack(instance: PartiteInstance) -> int:
             base = part_masks[last] & ~used
             for j in last_back:
                 base &= rows[images[j]]
-            if adjacent:  # no loops in the host, so w never lands in rows[w]
-                return sum((rows[w] & base).bit_count() for w in iter_bits(cand))
+            if edge is not None:
+                if base:
+                    edge.add(cand, base)
+                return 0
             return base.bit_count() * cand.bit_count() - (cand & base).bit_count()
         total = 0
         for w in iter_bits(cand):
@@ -150,7 +167,81 @@ def _backtrack(instance: PartiteInstance) -> int:
             total += rec(level + 1, used | (1 << w))
         return total
 
-    return rec(0, 0)
+    total = rec(0, 0)
+    return total if edge is None else total + edge.total()
+
+
+class _LastEdge:
+    """sum((C A) * B) over batches of queued nodes, for the last two
+    pattern vertices in parts P and Q (see the module docstring).
+
+    C has density about p^k at this level, so a dense product would mostly
+    multiply zeros: each nonzero (node, w) of C adds popcount(A[w] & B[node])
+    instead.  A comes from the bit rows of P, never from the host's
+    ``bool_matrix``, and every mask is shifted down to its part's lowest
+    vertex, so nothing is unpacked over the whole host; a batch's arrays stay
+    within ``PARTITE_BATCH_BYTES``.  Adjacent parts are disjoint, so no
+    completion reuses a vertex of P.
+    """
+
+    def __init__(self, rows: Sequence[int], left: VertexSet, right: VertexSet):
+        self._lo, self._width = left.indices[0], left.indices[-1] - left.indices[0] + 1
+        self._offsets = None if self._width == len(left) else np.array(left.indices) - self._lo
+        self._right_lo = right.indices[0]
+        self._words = (right.indices[-1] - self._right_lo) // 64 + 1
+        self._block = self._packed([rows[w] & right.mask for w in left.indices])
+        # bytes a batch holds: per node its C row over P's span and over P
+        # and its B row; per (node, w) three indices, two gathered rows and
+        # their popcounts in uint8 and float64
+        self._node_bytes = self._width + len(left) + 8 * self._words
+        self._pair_bytes = 24 + 25 * self._words
+        self._cands: list[int] = []
+        self._bases: list[int] = []
+        self._load = 0
+        self._total = 0
+
+    def _packed(self, masks: list[int]) -> np.ndarray:
+        """len(masks) x words rows of 64-bit words over Q's span."""
+        nbytes = 8 * self._words
+        raw = b"".join((mask >> self._right_lo).to_bytes(nbytes, "little") for mask in masks)
+        return np.frombuffer(raw, dtype="<u8").reshape(len(masks), self._words)
+
+    def add(self, cand: int, base: int) -> None:
+        self._cands.append(cand)
+        self._bases.append(base)
+        self._load += self._node_bytes + cand.bit_count() * self._pair_bytes
+        if self._load >= PARTITE_BATCH_BYTES:
+            self._flush()
+
+    def total(self) -> int:
+        """Completions of every queued node, the last partial batch included."""
+        if self._cands:
+            self._flush()
+        return self._total
+
+    def _flush(self) -> None:
+        nbytes = (self._width + 7) // 8
+        raw = b"".join((cand >> self._lo).to_bytes(nbytes, "little") for cand in self._cands)
+        bits = np.unpackbits(
+            np.frombuffer(raw, np.uint8).reshape(len(self._cands), nbytes),
+            axis=1,
+            count=self._width,
+            bitorder="little",
+        )
+        if self._offsets is not None:
+            bits = bits.take(self._offsets, axis=1)
+        flat = np.flatnonzero(bits.view(bool))  # far cheaper than a 2-d nonzero
+        nodes, ranks = flat // bits.shape[1], flat % bits.shape[1]
+        words = self._block[ranks]
+        # a bytewise AND and a float64 sum (of integers, so exact) run numpy
+        # kernels that are paged in already; a uint64 AND or an integer sum
+        # of uint8 would each page in 64 KiB more code, which peak RSS shows
+        view = words.view(np.uint8)
+        view &= self._packed(self._bases)[nodes].view(np.uint8)
+        self._total += int(np.bitwise_count(words).astype(np.float64).sum())
+        self._cands.clear()
+        self._bases.clear()
+        self._load = 0
 
 
 def predicted_count(instance: PartiteInstance, p: float) -> tuple[float, float]:

@@ -62,6 +62,7 @@ from .regularity import (
     below_density_floor,
     check_eps_d_p,
     exact_block_regularity,
+    require_budget,
     sampled_block_deviation,
 )
 from .reports import AuditReport, HypothesisRecord, make_report, parse_key_values
@@ -101,6 +102,8 @@ class ExperimentPlan:
             raise ParameterError("trials must be >= 1")
         if self.seed < 0:
             raise ParameterError(f"seed {self.seed} must be non-negative")
+        if self.method == "exact":  # the (Y,Z) check's subsets, before anything is generated
+            require_budget((self.ny, self.nz), self.eps if self.eps is not None else self.eps_prime)
 
     _FIELD_TYPES = {
         "lemma": str,

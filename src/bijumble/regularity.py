@@ -96,7 +96,9 @@ def _within_cap(shape: tuple[int, int], epsilon: float) -> bool:
     return within_cap(n, min_size(epsilon, n))
 
 
-def _require_budget(shape: tuple[int, int], epsilon: float):
+def require_budget(shape: tuple[int, int], epsilon: float):
+    """Refuse, as a ``CapacityError``, an exact regularity check on a pair of
+    ``shape`` at ``epsilon`` whose subsets would pass ``DEFAULT_ENUM_CAP``."""
     if not _within_cap(shape, epsilon):
         raise CapacityError(
             f"exact regularity would enumerate {regularity_budget(shape, epsilon)} subsets of a "
@@ -126,7 +128,7 @@ def exact_block_regularity(
     p-density; ``left`` and ``right`` label the rows and columns for the
     witness."""
     _validate_shape(sub.shape, epsilon, p)
-    _require_budget(sub.shape, epsilon)
+    require_budget(sub.shape, epsilon)
     left, right = np.asarray(left).tolist(), np.asarray(right).tolist()
     swap = sub.shape[0] > sub.shape[1]
     if swap:
@@ -152,7 +154,7 @@ def exact_block_regularity(
 def exact_regularity(pair: BipartitePairView, epsilon: float, p: float) -> RegularityVerdict:
     """Certified verdict with the maximum-deviation witness."""
     _validate(pair, epsilon, p)
-    _require_budget((len(pair.left), len(pair.right)), epsilon)  # before the block is cut
+    require_budget((len(pair.left), len(pair.right)), epsilon)  # before the block is cut
     return exact_block_regularity(
         pair_block(pair), p_density(pair, p), pair.left.indices, pair.right.indices, epsilon, p
     )

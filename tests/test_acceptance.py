@@ -295,6 +295,7 @@ def test_criterion_8_inheritance_experiments():
     ok = True
 
     # (a) pinned ceilings at the pilot parameters, 3 seeds
+    pilot_fractions = {}
     for lemma, run in (("one_sided", one_sided_experiment), ("two_sided", two_sided_experiment)):
         cfg = PILOT[lemma]
         for seed in PILOT["seeds"]:
@@ -309,12 +310,16 @@ def test_criterion_8_inheritance_experiments():
                 seed=seed + 7,
             )
             ok &= out.exceptional_fraction <= cfg["ceiling"]
+            pilot_fractions[lemma, seed] = out.exceptional_fraction
 
     # (b) two-sided exceptional fraction non-increasing in n, per seed
     cfg = PILOT["two_sided"]
     for seed in PILOT["seeds"]:
         fractions = []
         for n in PILOT["trend_sizes"]:
+            if n == cfg["n"]:  # part (a) ran this one: same system, parameters and seed + 7
+                fractions.append(pilot_fractions["two_sided", seed])
+                continue
             system = _build(n, cfg["p"], cfg["d"], seed)
             out = two_sided_experiment(
                 system,

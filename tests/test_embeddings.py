@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from bijumble import embeddings
 from bijumble.errors import CapacityError, ParameterError
 from bijumble.graphs import Graph, VertexSet, complete_bipartite, complete_graph
 from bijumble.patterns import Pattern
@@ -114,6 +115,108 @@ def test_flat_last_level_matches_brute_force():
                 elif parts[u].mask & parts[v].mask:
                     seen["overlapping"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def complete_multipartite(parts, n):
+    """Host on n vertices with every edge between two different ``parts``."""
+    rows = [0] * n
+    every = sum(part.mask for part in parts)
+    for part in parts:
+        for v in part:
+            rows[v] = every & ~part.mask
+    return Graph._trusted(n, tuple(rows))
+
+
+@pytest.fixture
+def batch_sizes(monkeypatch):
+    """Nodes per flushed batch of the last level, in flush order."""
+    sizes = []
+    flush = embeddings._LastEdge._flush
+
+    def spy(edge):
+        sizes.append(len(edge._cands))
+        flush(edge)
+
+    monkeypatch.setattr(embeddings._LastEdge, "_flush", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("per_batch, expected", [(1, [1] * 5), (2, [2, 2, 1]), (3, [3, 2])])
+def test_last_level_batches_flush_when_full_and_after_the_recursion(
+    monkeypatch, batch_sizes, per_batch, expected
+):
+    # every second-level node of a triangle in a complete tripartite host has
+    # the whole middle part as candidates, so each node adds the same load
+    parts = blocks([5, 4, 6])
+    host = complete_multipartite(parts, 15)
+    probe = embeddings._LastEdge(host.rows, parts[1], parts[2])
+    load = probe._node_bytes + len(parts[1]) * probe._pair_bytes
+    monkeypatch.setattr(embeddings, "PARTITE_BATCH_BYTES", per_batch * load)
+    assert count_partite_copies(PartiteInstance(Pattern.identity(K3), host, parts)) == 5 * 4 * 6
+    assert batch_sizes == expected
+
+
+@pytest.mark.parametrize("batch_bytes", [1, 600, 1 << 16])
+def test_last_level_on_scattered_and_wide_parts_matches_brute_force(monkeypatch, batch_bytes):
+    # parts interleave and skip vertices, several spans are far wider than
+    # their parts, and the last part's span needs more than one 64-bit word
+    monkeypatch.setattr(embeddings, "PARTITE_BATCH_BYTES", batch_bytes)
+    rnd = random.Random(batch_bytes)
+    host = random_host(300, 0.5, 23)
+    part_sets = [
+        (VertexSet.of(range(1, 30, 2)), VertexSet.of(range(0, 30, 4)), VertexSet.of([2, 6, 130, 299])),
+        (VertexSet.of([2, 150, 298]), VertexSet.of(range(9, 290, 23)), VertexSet.of([0, 70, 71, 200])),
+    ]
+    c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    counted = 0
+    for a, b, c in part_sets:
+        fourth = VertexSet.of(rnd.sample(range(300), 6))
+        while fourth.mask & (a.mask | c.mask):
+            fourth = VertexSet.of(rnd.sample(range(300), 6))
+        for pattern, parts in [
+            (Pattern.identity(K3), (a, b, c)),
+            (Pattern(K3, (2, 0, 1)), (a, b, c)),
+            (Pattern.identity(c4), (a, b, c, fourth)),
+            (Pattern(c4, (1, 2, 0, 3)), (a, b, c, fourth)),
+        ]:
+            inst = PartiteInstance(pattern, host, parts)
+            assert count_partite_copies(inst) == brute_force_partite_copies(inst), (pattern, parts)
+            counted += 1
+    assert counted == 8
+
+
+def test_last_level_batch_total_is_exact_beyond_2_pow_24(monkeypatch, batch_sizes):
+    monkeypatch.setattr(embeddings, "PARTITE_BATCH_BYTES", 1 << 40)  # one batch
+    parts = blocks([65, 512, 512])
+    host = complete_multipartite(parts, 65 + 512 + 512)
+    count = count_partite_copies(PartiteInstance(Pattern.identity(K3), host, parts))
+    assert count == 65 * 512 * 512 > 2**24
+    assert batch_sizes == [65]
+
+
+def test_count_on_a_large_sparse_host_never_unpacks_it():
+    # small parts far apart in a 20,000-vertex host: the count must work
+    # on the parts' spans alone, never on the host's n x n matrix
+    rnd = random.Random(20000)
+    n = 20000
+    parts = tuple(
+        VertexSet.of(rnd.sample(range(5000 * i, 5000 * (i + 1)), 9)) for i in range(4)
+    )
+    edges = {
+        (u, v)
+        for i, j in itertools.combinations(range(4), 2)
+        for u in parts[i]
+        for v in parts[j]
+        if rnd.random() < 0.6
+    }
+    edges |= {tuple(sorted(rnd.sample(range(n), 2))) for _ in range(3000)}
+    host = Graph.from_edges(n, edges)
+    for pattern in (Pattern.identity(complete_graph(4)), Pattern(complete_graph(4), (3, 1, 0, 2))):
+        inst = PartiteInstance(pattern, host, parts)
+        assert count_partite_copies(inst) == brute_force_partite_copies(inst)
+    suffix = SuffixInstance(inst, 3, dict(enumerate(parts)))  # the whole pattern
+    assert suffix_count(suffix) == count_partite_copies(inst)
+    assert "_bool_cache" not in host.__dict__
 
 
 def test_order_invariance(rnd):

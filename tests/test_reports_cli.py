@@ -656,6 +656,20 @@ def test_cli_inherit_checks_values_before_generating(tmp_path, monkeypatch, caps
     assert not list(tmp_path.glob("*.json"))
 
 
+def test_cli_inherit_refuses_an_exact_plan_over_budget_before_generating(tmp_path, monkeypatch, capsys):
+    from bijumble import experiments
+
+    def refuse(*args):
+        raise AssertionError("a system was generated")
+
+    monkeypatch.setattr(experiments, "gen_tripartite", refuse)
+    for argv in _inherit_paths(tmp_path, nx=50, ny=800, nz=800, method="exact"):
+        assert run_cli(argv + ["--out", str(tmp_path)]) == 3, argv
+        err = capsys.readouterr().err
+        assert "exact regularity would enumerate" in err and "800-vertex side" in err, err
+    assert not list(tmp_path.glob("*.json"))
+
+
 @pytest.mark.parametrize("plant", ["0.5", "a:b:c", "0:0.9:1", "1.5:0.9:1", "0.5:1.5:1", "0.5:nan:1"])
 def test_cli_plant_checked_before_generating(tmp_path, monkeypatch, capsys, plant):
     from bijumble import experiments
