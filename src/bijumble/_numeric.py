@@ -21,13 +21,14 @@ def slack(a: float, b: float) -> float:
 
 
 def geq(a: float, b: float) -> bool:
-    """a >= b up to tolerance."""
-    return a >= b - slack(a, b)
+    """a >= b up to tolerance, as a Python bool (numpy operands would give
+    ``numpy.bool_``, which a report cannot serialize)."""
+    return bool(a >= b - slack(a, b))
 
 
 def leq(a: float, b: float) -> bool:
-    """a <= b up to tolerance."""
-    return a <= b + slack(a, b)
+    """a <= b up to tolerance, as a Python bool."""
+    return bool(a <= b + slack(a, b))
 
 
 def within(x: float, lo: float, hi: float) -> bool:

@@ -169,9 +169,9 @@ def _cmd_certify(args) -> int:
 
 def _cmd_regularity(args) -> int:
     pair = _pair_from_args(args)
-    verdict = regularity._verdict(pair, args.epsilon, args.p, args.method, args.trials, args.seed)
-    if args.d is not None:
-        verdict = regularity.apply_density_floor(verdict, args.d)
+    verdict = regularity.check_eps_d_p(
+        pair, args.epsilon, args.d, args.p, args.method, args.trials, args.seed
+    )
     print(
         f"method={verdict.method} regular={verdict.regular} deviation={verdict.deviation:.12g} "
         f"base_p_density={verdict.base_p_density:.12g}"
@@ -208,15 +208,17 @@ def _cmd_count(args) -> int:
     if args.gamma is not None and args.p is None:
         raise ParameterError("--gamma needs --p")
     instance = _load_instance(args.instance)
-    count = embeddings.count_partite_copies(instance)
-    print(f"count={count}")
+    if args.gamma is None:
+        print(f"count={embeddings.count_partite_copies(instance)}")
+    else:  # the audit's count is the printed one: one backtracking run
+        report = embeddings.counting_window_audit(
+            instance, args.p, args.gamma, side=args.side, seed=args.seed
+        )
+        print(f"count={report.measured}")
     if args.p is not None:
         dh, pred = embeddings.predicted_count(instance, args.p)
         print(f"density_product={dh:.12g} prediction={pred:.12g}")
         if args.gamma is not None:
-            report = embeddings.counting_window_audit(
-                instance, args.p, args.gamma, side=args.side, seed=args.seed
-            )
             return _emit(report, args.out)
     return 0
 
@@ -226,11 +228,12 @@ def _cmd_suffix(args) -> int:
         raise ParameterError("--p and --eps must be given together")
     instance = _load_instance(args.instance)
     suffix = embeddings.SuffixInstance(instance, args.x, dict(args.w or []))
-    print(f"suffix_count={embeddings.suffix_count(suffix)}")
-    if args.p is not None:
-        report = embeddings.suffix_bound_audit(suffix, args.p, args.eps, mode=args.mode, seed=args.seed)
-        return _emit(report, args.out)
-    return 0
+    if args.p is None:
+        print(f"suffix_count={embeddings.suffix_count(suffix)}")
+        return 0
+    report = embeddings.suffix_bound_audit(suffix, args.p, args.eps, mode=args.mode, seed=args.seed)
+    print(f"suffix_count={report.measured}")
+    return _emit(report, args.out)
 
 
 def _cmd_optialpha(args) -> int:
@@ -275,6 +278,8 @@ def _cmd_inherit(args) -> int:
 
 def _cmd_audit(args) -> int:
     if args.lemma in ("many_bad_pairs", "few_bad_pairs"):
+        if args.lemma == "few_bad_pairs" and args.coeff is not None:  # before generating
+            raise ParameterError("--coeff applies to many_bad_pairs only")
         system = experiments.make_system(
             args.nx, args.ny, args.nz, args.p, args.d, args.seed, args.plant
         )

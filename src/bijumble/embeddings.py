@@ -16,9 +16,9 @@ nodes as the 0/1 matrix product sum((C A) * B): C and B hold the nodes'
 ``cand`` and ``base`` as rows over the last two parts, and A is the host
 block between them.  It is evaluated over the nonzeros of C as popcounts of
 A's and B's rows packed in 64-bit words, so every term is an integer and
-the int64 sum is exact (``_LastEdge``).  Instances are frozen, so
-``count_partite_copies`` and ``suffix_count`` cache their count on the
-instance: the CLI's count and its audit's count are one backtracking run.
+the int64 sum is exact (``_LastEdge``).  The CLI's ``count --gamma`` and
+``suffix --eps`` print the count their audit measured, so each backtracks
+once.
 
 ``suffix_count`` restricts to the pattern vertices at positions >= x with
 per-vertex window sets W_y, and ``suffix_bound_audit`` compares it against
@@ -86,7 +86,7 @@ class SuffixInstance:
     w_sets: Mapping[int, VertexSet]
 
     def __post_init__(self):
-        object.__setattr__(self, "w_sets", dict(self.w_sets))  # the count is cached: no aliasing
+        object.__setattr__(self, "w_sets", dict(self.w_sets))  # a copy, so the checks below hold
         if self.x not in self.base.pattern.sequence:
             raise ParameterError(f"x = {self.x} is not a pattern vertex")
         for y in self.suffix_vertices():
@@ -102,22 +102,8 @@ class SuffixInstance:
 
 
 def count_partite_copies(instance: PartiteInstance) -> int:
-    """Exact labelled partite copy count, counted once per instance."""
-    return _cached_count(instance, _backtrack)
-
-
-def _cached_count(instance, count) -> int:
-    # instances are frozen, so the count cannot go stale; the cache is not a
-    # dataclass field, so equality and hashing are unaffected
-    cached = instance.__dict__.get("_count_cache")
-    if cached is None:
-        cached = count(instance)
-        object.__setattr__(instance, "_count_cache", cached)
-    return cached
-
-
-def _backtrack(instance: PartiteInstance) -> int:
-    """``count_partite_copies`` by ordered backtracking with a flat last level.
+    """Exact labelled partite copy count, by ordered backtracking with a
+    flat last level.
 
     When the last two pattern vertices are adjacent, a second-to-last-level
     node queues its ``cand`` and ``base`` on a ``_LastEdge`` instead of
@@ -306,12 +292,7 @@ def _suffix_pattern(instance: SuffixInstance) -> tuple[Pattern, tuple[VertexSet,
 
 
 def suffix_count(instance: SuffixInstance) -> int:
-    """Copies of the induced suffix pattern with each y inside w_sets[y],
-    counted once per instance."""
-    return _cached_count(instance, _suffix_backtrack)
-
-
-def _suffix_backtrack(instance: SuffixInstance) -> int:
+    """Copies of the induced suffix pattern with each y inside w_sets[y]."""
     pattern, parts = _suffix_pattern(instance)
     return count_partite_copies(PartiteInstance(pattern, instance.base.host, parts))
 

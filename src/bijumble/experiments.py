@@ -19,10 +19,11 @@ stay because ``ExperimentPlan.run``, the demos, the tests and the spans of
 An experiment cuts three 0/1 blocks once: the host's X x Y and X x Z and
 G's Y x Z.  Each x then reads its neighbour positions from its host rows,
 takes those rows of the Y x Z block (and, two-sided, those columns), and
-applies ``leq`` and the density floor to the deviation that
-``exact_block_regularity`` or the witness-free ``sampled_block_deviation``
-finds there; the per-x verdicts equal the ``regular``, ``deviation`` and
-``failure_reason`` of ``check_eps_d_p`` on the per-x pair views.
+applies ``regularity.failure_reason``, the rule of ``check_eps_d_p``, to
+the deviation that ``exact_block_regularity`` or the witness-free
+``sampled_block_deviation`` finds there; the per-x verdicts equal the
+``regular``, ``deviation`` and ``failure_reason`` of ``check_eps_d_p`` on
+the per-x pair views.
 
 Everything is seeded; rerunning a plan with the same seed and any worker
 count reproduces outcomes exactly.  With w >= 2 workers (capped at the core
@@ -59,9 +60,9 @@ from .graphs import (
 from .jumbled import min_size_bound, spectral_jumble_bound
 from .quads import _regularity_refutation, codegrees
 from .regularity import (
-    below_density_floor,
     check_eps_d_p,
     exact_block_regularity,
+    failure_reason,
     require_budget,
     sampled_block_deviation,
 )
@@ -362,10 +363,8 @@ def inheritance_experiment(
             dev = exact_block_regularity(block, base, *map(range, block.shape), eps_prime, p).deviation
         else:
             dev = sampled_block_deviation(block, base, eps_prime, p, trials, _child_seed(seed, x))
-        if below_density_floor(base, eps_prime, d):
-            return PerVertexVerdict(x, False, dev, "density floor", deg_y, deg_z)
-        regular = leq(dev, eps_prime)
-        return PerVertexVerdict(x, regular, dev, None if regular else "irregularity witness", deg_y, deg_z)
+        reason = failure_reason(dev, base, eps_prime, d)
+        return PerVertexVerdict(x, reason is None, dev, reason, deg_y, deg_z)
 
     def hypothesis_evidence() -> list[HypothesisRecord]:
         """The (Y,Z) regularity check and the bijumbledness certificates."""
@@ -450,11 +449,14 @@ def bad_pair_bounds_audit(
     into Z reaches (1+delta)(dp)^2|Z|.  direction="few": summed over u in X,
     pairs inside N_host(u;Y) that are bad w.r.t. Z number at most
     delta p^2 |X||Y|^2.  Strict mode checks the lemma-scale constants and
-    certified evidence; relaxed mode verdicts against ``relaxed_coeff``.
+    certified evidence; relaxed mode verdicts the many direction against
+    ``relaxed_coeff``, which the few direction refuses.
     """
     started = time.perf_counter()
     if direction not in ("many", "few"):
         raise ParameterError(f"unknown direction {direction!r}")
+    if direction == "few" and relaxed_coeff is not None:
+        raise ParameterError("relaxed_coeff applies to the many direction only")
     ys, zs, xs_ = system.y, system.z, system.x
     q = d * p
     threshold = (1 + delta) * q * q * len(zs)

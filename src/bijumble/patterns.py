@@ -21,8 +21,11 @@ strategies share one depth-first search over prefixes in lexicographic
 vertex order: exhaustive starts with no incumbent, branch-and-bound with the
 heuristic's best.  A prefix's terms are final, so its largest term bounds
 every completion and the search cuts a prefix whose bound is ``>= best``.
-Such a prefix holds no strictly better order, so the search still returns
-the first optimum in ``itertools.permutations`` order.
+Such a prefix holds no strictly better order, so exhaustive returns the
+first optimum in ``itertools.permutations`` order, and branch-and-bound
+returns that first optimum or, when the heuristic's best is already
+optimal, that incumbent: on the path 0-1-2 with the two-sided objective,
+exhaustive gives (1, 0, 2) and branch-and-bound (1, 2, 0).
 
 ``line_graph_two_sided_exponent`` computes the earlier line-graph-based
 exponent min((D(L)+4)/2, (degen(L)+6)/2) used for comparison tables.

@@ -32,7 +32,7 @@ from . import jumbled
 from ._numeric import ABS_TOL, geq, leq
 from .errors import ParameterError
 from .graphs import BipartitePairView, Graph, VertexSet, density, pair_block
-from .regularity import _auto_method, _verdict, apply_density_floor
+from .regularity import _auto_method, check_eps_d_p
 from .regularity import exact_regularity, sampled_regularity  # noqa: F401  perfbench/spans.py wraps these
 from .reports import AuditReport, HypothesisRecord, make_report
 
@@ -188,7 +188,7 @@ def cs_defect_check(values: Sequence[float], a: float, delta: float, mu: float) 
 def _regularity_refutation(pair, eps, p, trials, seed):
     """(refuted, certified, verdict): a found witness refutes soundly even
     when sampled; only a 'regular' answer needs the exact method to certify."""
-    verdict = _verdict(pair, eps, p, _auto_method(pair, eps), trials, seed)
+    verdict = check_eps_d_p(pair, eps, None, p, _auto_method(pair, eps), trials, seed)
     refuted = not verdict.regular
     return refuted, refuted or verdict.method == "exact", verdict
 
@@ -316,7 +316,7 @@ def c4_regular_bijumbled_audit(
         "bijumbled_cp2", True, c_certified, {"c": c, "exponent": 2.0}
     )
 
-    verdict = apply_density_floor(_verdict(pair, eps, p, _auto_method(pair, eps), trials, seed), d)
+    verdict = check_eps_d_p(pair, eps, d, p, _auto_method(pair, eps), trials, seed)
     hyp_reg = HypothesisRecord(
         "eps_d_p_regular",
         verdict.regular,

@@ -27,8 +27,12 @@ trial's witness.  ``sampled_block_deviation`` serves the per-x search of
 ``bijumble.experiments``: on a block its caller has already cut it takes the
 same largest deviation and builds no witness.
 
-``_verdict`` dispatches to the exact or the sampled method, and
-``_auto_method`` picks exact when the subset budget fits
+One rule, ``failure_reason``, decides (eps,d,p)-regularity from a
+search's largest deviation and the base p-density: the density floor
+first, then the deviation against eps.  ``check_eps_d_p`` dispatches to
+the exact or the sampled method and applies it with d (no floor when d
+is None); the per-x search of ``bijumble.experiments`` applies it to its
+deviations.  ``_auto_method`` picks exact when the subset budget fits
 ``DEFAULT_ENUM_CAP`` and sampled otherwise.
 """
 
@@ -106,18 +110,28 @@ def require_budget(shape: tuple[int, int], epsilon: float):
         )
 
 
+def failure_reason(deviation: float, base: float, epsilon: float, d: float | None) -> str | None:
+    """Why a pair with largest deviation ``deviation`` and base p-density
+    ``base`` is not (eps,d,p)-regular: "density floor" when d_p(U,W) < d - eps
+    (never when d is None), else "irregularity witness" when the deviation
+    exceeds eps, else None."""
+    if d is not None and base < d - epsilon - ABS_TOL:
+        return "density floor"
+    return None if leq(deviation, epsilon) else "irregularity witness"
+
+
 def _searched_verdict(method: str, worst: float, witness, base: float, epsilon: float, p: float):
     """The verdict of a search whose largest deviation ``worst`` the witness attains."""
-    regular = leq(worst, epsilon)
+    reason = failure_reason(worst, base, epsilon, None)
     return RegularityVerdict(
-        regular=regular,
+        regular=reason is None,
         epsilon=epsilon,
         p=p,
         base_p_density=base,
         deviation=max(worst, 0.0),
         method=method,
         worst_witness=witness,
-        failure_reason=None if regular else "irregularity witness",
+        failure_reason=reason,
     )
 
 
@@ -251,46 +265,32 @@ def sampled_regularity(
     return _searched_verdict("sampled", worst, witness, base, epsilon, p)
 
 
-def below_density_floor(base: float, epsilon: float, d: float) -> bool:
-    """Whether the base p-density misses the floor d_p(U,W) >= d - eps."""
-    return base < d - epsilon - ABS_TOL
-
-
-def apply_density_floor(verdict: RegularityVerdict, d: float) -> RegularityVerdict:
-    """``verdict`` with d recorded and the floor d_p(U,W) >= d - eps applied."""
-    if below_density_floor(verdict.base_p_density, verdict.epsilon, d):
-        return replace(verdict, regular=False, failure_reason="density floor", d=d)
-    return replace(verdict, d=d)
-
-
 def _auto_method(pair: BipartitePairView, epsilon: float) -> str:
     """"exact" when the pair's subset budget fits ``DEFAULT_ENUM_CAP``,
     "sampled" otherwise."""
     return "exact" if _within_cap((len(pair.left), len(pair.right)), epsilon) else "sampled"
 
 
-def _verdict(
-    pair: BipartitePairView, epsilon: float, p: float, method: str, trials: int, seed: int
-) -> RegularityVerdict:
-    """The regularity verdict by ``method``, "exact" or "sampled"."""
-    if method == "exact":
-        return exact_regularity(pair, epsilon, p)
-    if method == "sampled":
-        return sampled_regularity(pair, epsilon, p, trials=trials, seed=seed)
-    raise ParameterError(f"unknown method {method!r}")
-
-
 def check_eps_d_p(
     pair: BipartitePairView,
     epsilon: float,
-    d: float,
+    d: float | None,
     p: float,
     method: str = "exact",
     trials: int = 50,
     seed: int = 0,
 ) -> RegularityVerdict:
-    """Regularity verdict plus the density floor d_p(U,W) >= d - eps."""
-    return apply_density_floor(_verdict(pair, epsilon, p, method, trials, seed), d)
+    """The (eps,d,p)-regularity verdict by ``method``, "exact" or "sampled":
+    the method's verdict with d recorded and the floor d_p(U,W) >= d - eps
+    applied first (not at all when d is None)."""
+    if method == "exact":
+        verdict = exact_regularity(pair, epsilon, p)
+    elif method == "sampled":
+        verdict = sampled_regularity(pair, epsilon, p, trials=trials, seed=seed)
+    else:
+        raise ParameterError(f"unknown method {method!r}")
+    reason = failure_reason(verdict.deviation, verdict.base_p_density, epsilon, d)
+    return replace(verdict, regular=reason is None, failure_reason=reason, d=d)
 
 
 def slice_and_check(
@@ -318,7 +318,7 @@ def slice_and_check(
         raise ParameterError("slice sizes below the gamma fraction precondition")
     base = p_density(pair, p)
     slice_pair = BipartitePairView(pair.graph, u_slice, w_slice)
-    verdict = _verdict(slice_pair, epsilon / gamma, p, method, trials, seed)
+    verdict = check_eps_d_p(slice_pair, epsilon / gamma, None, p, method, trials, seed)
     density_ok = abs(verdict.base_p_density - base) <= epsilon + ABS_TOL
     ok = verdict.regular and density_ok
     return replace(

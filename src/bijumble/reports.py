@@ -175,6 +175,7 @@ def write_report(report: AuditReport, out_dir) -> Path:
     created exclusively: a writer that loses a race for a counter takes the
     next one, and no report is ever overwritten.
     """
+    text = serialize_report(report)  # a report that cannot be serialized leaves no file
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     prefix = f"{report.lemma}-{report.seed}-"
@@ -184,7 +185,7 @@ def write_report(report: AuditReport, out_dir) -> Path:
         path = out / f"{prefix}{counter:04d}.json"
         try:
             with path.open("x", encoding="utf-8") as fh:
-                fh.write(serialize_report(report))
+                fh.write(text)
             break
         except FileExistsError:
             counter += 1

@@ -362,6 +362,14 @@ def test_few_bad_pairs_relaxed_holds_on_regular_system():
     assert report.measured <= report.bound
 
 
+def test_few_bad_pairs_refuses_relaxed_coeff():
+    s = build(20, 0.3, 0.5, 81)
+    with pytest.raises(ParameterError, match="many direction only"):
+        bad_pair_bounds_audit(
+            s, 0.5, 0.25, 0.5, 0.25, direction="few", p=0.3, mode="relaxed", relaxed_coeff=1e9
+        )
+
+
 def test_bad_pairs_strict_mode_honesty():
     s = build(60, 0.3, 0.5, 81)
     for direction in ("many", "few"):

@@ -14,6 +14,7 @@ from bijumble.regularity import (
     check_eps_d_p,
     exact_regularity,
     extend_and_check,
+    failure_reason,
     sampled_regularity,
     slice_and_check,
 )
@@ -108,6 +109,25 @@ def test_check_eps_d_p_reasons():
     assert not v.regular and v.failure_reason == "density floor"
     v2 = check_eps_d_p(planted_block_pair(), 0.5, 0.25, 0.5, method="exact")
     assert not v2.regular and v2.failure_reason == "irregularity witness"
+
+
+@pytest.mark.parametrize("method", ["exact", "sampled"])
+def test_check_eps_d_p_without_d_is_the_method_verdict(method):
+    pair = planted_block_pair()  # base p-density 0.5: fails the floor at d = 0.9, eps = 0.3
+    own = (exact_regularity(pair, 0.3, 0.5) if method == "exact"
+           else sampled_regularity(pair, 0.3, 0.5, trials=20, seed=4))
+    assert check_eps_d_p(pair, 0.3, None, 0.5, method=method, trials=20, seed=4) == own
+    assert own.d is None
+    floored = check_eps_d_p(pair, 0.3, 0.9, 0.5, method=method, trials=20, seed=4)
+    assert floored.failure_reason == "density floor" and floored.d == 0.9
+
+
+def test_failure_reason_checks_the_floor_before_the_witness():
+    assert failure_reason(0.5, 0.1, 0.2, 0.9) == "density floor"
+    assert failure_reason(0.5, 0.1, 0.2, None) == "irregularity witness"
+    assert failure_reason(0.5, 0.8, 0.2, 0.9) == "irregularity witness"
+    assert failure_reason(0.2, 0.8, 0.2, 0.9) is None
+    assert failure_reason(0.1, 0.7 - 1e-13, 0.2, 0.9) is None  # the floor's tolerance
 
 
 def test_slice_trivial_cases():

@@ -140,6 +140,30 @@ def test_write_report_counter_and_index(tmp_path):
     assert rows[1].startswith("sample_lemma,relaxed,pass,3,4.0,42")
 
 
+def test_write_report_that_cannot_serialize_leaves_no_file(tmp_path, monkeypatch):
+    from bijumble import reports
+
+    def refuse(report):
+        raise TypeError("not serializable")
+
+    monkeypatch.setattr(reports, "serialize_report", refuse)
+    with pytest.raises(TypeError):
+        write_report(sample_report(), tmp_path / "out")
+    assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+
+
+def test_cli_inherit_report_with_a_drawn_pair_witness_parses(tmp_path, capsys):
+    # the drawn pair, not a prefix, wins the sampled Y x Z check here; its
+    # verdict once carried a numpy bool that the report could not serialize
+    argv = ["inherit", "--lemma", "one_sided", "--nx", "3", "--ny", "18", "--nz", "2", "--p", "0.5",
+            "--d", "0.5", "--eps-prime", "0.846", "--seed", "813651", "--out", str(tmp_path)]
+    assert run_cli(argv) == 0
+    (path,) = tmp_path.glob("*.json")
+    record = json.loads(path.read_text())
+    assert [h["satisfied"] for h in record["hypotheses"]][0] is True
+    assert len((tmp_path / "index.csv").read_text().splitlines()) == 2
+
+
 def test_write_report_after_deletion_never_overwrites(tmp_path):
     paths = [write_report(sample_report(), tmp_path) for _ in range(3)]
     newest = paths[2].read_bytes()
@@ -344,8 +368,8 @@ def test_cli_census_refuses_hypothesis_flags_it_would_ignore(tmp_path, monkeypat
 
 def test_count_and_suffix_audits_backtrack_once(tmp_path, monkeypatch, capsys):
     # the printed count and the audit's measured count are one backtracking run
-    real, calls = embeddings._backtrack, []
-    monkeypatch.setattr(embeddings, "_backtrack", lambda instance: calls.append(1) or real(instance))
+    real, calls = embeddings.count_partite_copies, []
+    monkeypatch.setattr(embeddings, "count_partite_copies", lambda instance: calls.append(1) or real(instance))
     inst = str(_complete_tri_instance(tmp_path))
     out = ["--out", str(tmp_path / "reports")]
     run_cli(["count", "--instance", inst, "--p", "0.5", "--gamma", "0.5", *out])
@@ -355,6 +379,32 @@ def test_count_and_suffix_audits_backtrack_once(tmp_path, monkeypatch, capsys):
     assert len(calls) == 2 and "suffix_count=6" in capsys.readouterr().out
     reports = [json.loads(path.read_text()) for path in sorted((tmp_path / "reports").glob("*.json"))]
     assert sorted(rep["measured"] for rep in reports) == [6, 27]
+
+
+def test_count_and_suffix_audit_refusals_come_before_backtracking(tmp_path, monkeypatch, capsys):
+    def refuse(instance):
+        raise AssertionError("backtracked")
+
+    monkeypatch.setattr(embeddings, "count_partite_copies", refuse)
+    inst = str(_complete_tri_instance(tmp_path))
+    assert run_cli(["count", "--instance", inst, "--p", "-1", "--gamma", "0.5"]) == 2
+    assert run_cli(["suffix", "--instance", inst, "--x", "1", "--w", "1:3,4", "--w", "2:6..8",
+                    "--p", "-1", "--eps", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert "count=" not in captured.out and captured.err.count("error: ") == 2
+
+
+def test_cli_few_bad_pairs_refuses_coeff_before_generating(tmp_path, monkeypatch, capsys):
+    from bijumble import experiments
+
+    def refuse(*args):
+        raise AssertionError("a system was generated")
+
+    monkeypatch.setattr(experiments, "gen_tripartite", refuse)
+    argv = ["audit", "--lemma", "few_bad_pairs", "--coeff", "1e9", "--out", str(tmp_path)]
+    assert run_cli(argv) == 2
+    assert "--coeff applies to many_bad_pairs only" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def _edge_count_argv(tmp_path):
